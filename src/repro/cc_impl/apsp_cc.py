@@ -11,10 +11,10 @@ in the model.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from ..congest.clique import CongestedClique
 from ..core.params import apsp_parameters, stretch_bound
+from ..graphs.distances import apsp, sssp
 from ..graphs.graph import WeightedGraph
 from .spanner_cc import spanner_cc
 
@@ -47,7 +47,6 @@ class CCApspResult:
         self.t = t
         self.spanner_extra = spanner_extra
         self.stretch_factor = stretch_factor
-        self._matrix = spanner.to_scipy() if spanner.m else None
 
     @property
     def guaranteed_stretch(self) -> float:
@@ -56,18 +55,10 @@ class CCApspResult:
 
     def distances_from(self, source: int) -> np.ndarray:
         """What node ``source`` computes locally after learning the spanner."""
-        if self._matrix is None:
-            d = np.full(self.g.n, np.inf)
-            d[source] = 0.0
-            return d
-        return csgraph.dijkstra(self._matrix, directed=False, indices=source)
+        return sssp(self.spanner, source)
 
     def all_pairs(self) -> np.ndarray:
-        if self._matrix is None:
-            d = np.full((self.g.n, self.g.n), np.inf)
-            np.fill_diagonal(d, 0.0)
-            return d
-        return csgraph.dijkstra(self._matrix, directed=False)
+        return apsp(self.spanner)
 
 
 def apsp_cc(

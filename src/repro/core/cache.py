@@ -1,25 +1,29 @@
-"""Bounded LRU cache for distance rows (and other per-key payloads).
+"""The one cached-row implementation: LRU distance rows over a row solver.
 
-The seed oracle kept its per-source distance rows in a plain dict and, on
-reaching the bound, evicted by wholesale ``clear()`` — so steady-state
-query traffic with more than ``capacity`` distinct sources periodically
-dropped *every* hot row and thrashed back to full Dijkstra runs
-(``query_many`` additionally stopped caching altogether once full).  This
-module is the shared fix: one recency-ordered bounded cache used by the
-:class:`~repro.distances.oracle.SpannerDistanceOracle` and the
-:class:`~repro.service.engine.QueryEngine`, with hit/miss/eviction
-counters so serving layers can report cache effectiveness.
+The paper's APSP answer (Corollary 1.4) is "collect the spanner on one
+machine, answer every query there with local Dijkstra".  Every row-based
+answer path in the repo is that loop: keep per-source distance rows in a
+bounded cache, and hand the sources that miss to a row solver.
+:class:`CachedRows` is the single implementation of it.  The
+:class:`~repro.distances.oracle.SpannerDistanceOracle` wraps one over the
+spanner, and every :class:`~repro.service.provider.RowProvider` (the
+``exact`` and ``oracle`` serving paths) wraps one over its graph, with the
+serving engine's sharded solver substituted where it applies.  It owns the
+row cache, the solver, and the ``rows_solved`` / ``solve_wall_s``
+accounting, so whoever serves through it reports the same numbers.
 
-``dict`` preserves insertion order and ``move_to_end``-style reordering is
-done by delete+reinsert, so no ``OrderedDict`` import is needed; all
-operations are O(1).
+:class:`LRURowCache` is the bounded store underneath: recency-ordered
+eviction (a ``dict`` keeps insertion order, and a hit is delete+reinsert,
+so every operation is O(1)) with hit/miss/eviction counters.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
-__all__ = ["LRURowCache", "answer_pairs_cached"]
+__all__ = ["LRURowCache", "CachedRows"]
 
 
 class LRURowCache:
@@ -30,19 +34,8 @@ class LRURowCache:
     capacity:
         Maximum number of entries held.  Must be >= 1; inserting beyond it
         evicts the least recently used entry (both :meth:`get` hits and
-        :meth:`put` refreshes count as uses).
-
-    Examples
-    --------
-    >>> c = LRURowCache(2)
-    >>> c.put("a", 1); c.put("b", 2)
-    >>> c.get("a")          # "a" becomes most-recent
-    1
-    >>> c.put("c", 3)       # evicts "b", the least recently used
-    >>> c.get("b") is None
-    True
-    >>> sorted(c.keys())
-    ['a', 'c']
+        :meth:`put` refreshes count as uses).  Distance rows are cached
+        through :class:`CachedRows`, which holds one of these.
     """
 
     __slots__ = ("capacity", "_data", "hits", "misses", "evictions")
@@ -107,38 +100,88 @@ class LRURowCache:
         }
 
 
-def answer_pairs_cached(cache: LRURowCache, pairs: np.ndarray, solve_rows) -> np.ndarray:
-    """Batched pair answering over a per-source row cache.
+class CachedRows:
+    """Distance rows for sources ``0..n-1``: solved on a miss, kept in an LRU.
 
-    The shared ``query_many`` planning of the oracle and the serving
-    engine: group the ``(r, 2)`` pairs by source, gather rows already
-    cached, hand the distinct *missing* sources to ``solve_rows(sources)
-    -> (len(sources), n)`` in one call, and gather per group.  Two
-    invariants live here exactly once: local references are held for every
-    row the call touches (LRU eviction triggered by the fresh rows must
-    not drop one mid-call), and cached rows are *copies*, never views
-    into the solver's dense batch buffer (a view would pin the whole
-    block for as long as the row survives in the cache).
+    Parameters
+    ----------
+    n:
+        Number of vertices; sources and targets must lie in ``[0, n)``.
+    solve_rows:
+        ``solve_rows(sources) -> (len(sources), n)`` dense distance rows
+        (e.g. ``partial(batched_sssp, graph)``).  Looked up on every solve,
+        so it may be swapped after construction.
+    capacity:
+        Bound on cached rows (see :class:`LRURowCache`).
     """
-    sources, inv = np.unique(pairs[:, 0], return_inverse=True)
-    row_map = {}
-    missing = []
-    for s in sources.tolist():
-        row = cache.get(s)
+
+    def __init__(self, n: int, solve_rows, capacity: int) -> None:
+        self.n = int(n)
+        self.solve_rows = solve_rows
+        self.cache = LRURowCache(capacity)
+        self.rows_solved = 0
+        self.solve_wall_s = 0.0
+
+    def _solve(self, sources: np.ndarray) -> np.ndarray:
+        self.rows_solved += int(sources.size)
+        start = time.perf_counter()
+        try:
+            return self.solve_rows(sources)
+        finally:
+            self.solve_wall_s += time.perf_counter() - start
+
+    def row(self, source: int) -> np.ndarray:
+        """The row of ``source``: a cache hit, or one solve that is cached."""
+        if not 0 <= source < self.n:
+            raise ValueError(f"source {source} out of range")
+        row = self.cache.get(source)
         if row is None:
-            missing.append(s)
-        else:
-            row_map[s] = row
-    if missing:
-        rows = solve_rows(np.asarray(missing, dtype=np.int64))
-        for j, s in enumerate(missing):
-            row = rows[j].copy()
-            row_map[s] = row
-            cache.put(s, row)
-    out = np.empty(pairs.shape[0])
-    order = np.argsort(inv, kind="stable")
-    bounds = np.searchsorted(inv[order], np.arange(sources.size + 1))
-    for j, s in enumerate(sources.tolist()):
-        idx = order[bounds[j] : bounds[j + 1]]
-        out[idx] = row_map[s][pairs[idx, 1]]
-    return out
+            row = self._solve(np.asarray([source], dtype=np.int64))[0].copy()
+            self.cache.put(source, row)
+        return row
+
+    def distance(self, u: int, v: int) -> float:
+        """One pair, answered from the row of ``u``."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range")
+        return float(self.row(u)[v])
+
+    def answer(self, pairs) -> np.ndarray:
+        """Distances for an ``(r, 2)`` pair array, grouped by source.
+
+        Rows already cached are gathered, the distinct *missing* sources go
+        to one ``solve_rows`` call, and every fresh row is cached.  Two
+        invariants live here exactly once: local references are held for
+        every row the call touches (LRU eviction triggered by the fresh
+        rows must not drop one mid-call), and cached rows are *copies*,
+        never views into the solver's dense batch buffer (a view would pin
+        the whole block for as long as the row survives in the cache).
+        """
+        pairs = np.asarray(pairs, dtype=np.int64)
+        if pairs.size == 0:
+            return np.zeros(0)
+        pairs = pairs.reshape(-1, 2)
+        if pairs.min() < 0 or pairs.max() >= self.n:
+            raise ValueError("vertex out of range")
+        sources, inv = np.unique(pairs[:, 0], return_inverse=True)
+        row_map = {}
+        missing = []
+        for s in sources.tolist():
+            row = self.cache.get(s)
+            if row is None:
+                missing.append(s)
+            else:
+                row_map[s] = row
+        if missing:
+            rows = self._solve(np.asarray(missing, dtype=np.int64))
+            for j, s in enumerate(missing):
+                row = rows[j].copy()
+                row_map[s] = row
+                self.cache.put(s, row)
+        out = np.empty(pairs.shape[0])
+        order = np.argsort(inv, kind="stable")
+        bounds = np.searchsorted(inv[order], np.arange(sources.size + 1))
+        for j, s in enumerate(sources.tolist()):
+            idx = order[bounds[j] : bounds[j + 1]]
+            out[idx] = row_map[s][pairs[idx, 1]]
+        return out

@@ -4,22 +4,23 @@ The paper's APSP scheme is: build a near-linear-size spanner (``k = log n``,
 ``t = log log n`` ⇒ size ``O(n log log n)``, stretch ``log^{1+o(1)} n``),
 ship it to one machine, and answer every distance query locally on the
 spanner.  :class:`SpannerDistanceOracle` is that "one machine": it holds the
-spanner and answers queries with Dijkstra runs (cached per source).
+spanner and answers queries with Dijkstra runs on it, cached per source in
+the repo's one cached-row implementation (:class:`~repro.core.cache.CachedRows`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from ..core import membudget
-from ..core.cache import LRURowCache, answer_pairs_cached
+from ..core.cache import CachedRows
 from ..core.general_tradeoff import general_tradeoff
 from ..core.params import apsp_parameters, coerce_rng, stretch_bound
 from ..core.results import SpannerResult
-from ..graphs.distances import batched_sssp, pairwise_distances
+from ..graphs.distances import apsp, batched_sssp, pairwise_distances
 from ..graphs.graph import WeightedGraph
 
 __all__ = ["SpannerDistanceOracle", "ApproximationReport", "measure_approximation"]
@@ -89,8 +90,7 @@ class SpannerDistanceOracle:
         self.result: SpannerResult | None = general_tradeoff(g, k, t, rng=rng)
         self.t_effective: int = self.result.extra.get("t_effective", t)
         self.spanner: WeightedGraph = self.result.subgraph(g)
-        self._matrix = self.spanner.to_scipy() if self.spanner.m else None
-        self._cache = LRURowCache(cache_rows)
+        self.rows = CachedRows(g.n, partial(batched_sssp, self.spanner), cache_rows)
 
     @classmethod
     def from_spanner(
@@ -119,8 +119,7 @@ class SpannerDistanceOracle:
         self.result = None
         self.t_effective = t_effective if t_effective is not None else t
         self.spanner = spanner
-        self._matrix = spanner.to_scipy() if spanner.m else None
-        self._cache = LRURowCache(cache_rows)
+        self.rows = CachedRows(spanner.n, partial(batched_sssp, spanner), cache_rows)
         return self
 
     @property
@@ -131,49 +130,24 @@ class SpannerDistanceOracle:
     @property
     def cache_stats(self) -> dict:
         """Row-cache effectiveness counters (hits/misses/evictions)."""
-        return self._cache.stats()
-
-    def _solve_row(self, source: int) -> np.ndarray:
-        if self._matrix is None:
-            d = np.full(self.g.n, np.inf)
-            d[source] = 0.0
-            return d
-        return csgraph.dijkstra(self._matrix, directed=False, indices=source)
+        return self.rows.cache.stats()
 
     def distances_from(self, source: int) -> np.ndarray:
         """Approximate distances from ``source`` to all vertices."""
-        if not 0 <= source < self.g.n:
-            raise ValueError(f"source {source} out of range")
-        row = self._cache.get(source)
-        if row is None:
-            row = self._solve_row(source)
-            self._cache.put(source, row)
-        return row
+        return self.rows.row(source)
 
     def query(self, u: int, v: int) -> float:
         """Approximate distance between ``u`` and ``v``."""
-        if not 0 <= v < self.g.n:
-            raise ValueError(f"vertex {v} out of range")
-        return float(self.distances_from(u)[v])
+        return self.rows.distance(u, v)
 
     def query_many(self, pairs) -> np.ndarray:
         """Vectorized :meth:`query` over an ``(r, 2)`` pair array.
 
         Sources missing from the row cache are solved with *one* batched
-        Dijkstra on the spanner instead of a Python loop of single-source
-        runs; the rows land in the cache for later single queries.
+        Dijkstra on the spanner; the rows land in the cache for later
+        single queries.
         """
-        pairs = np.asarray(pairs, dtype=np.int64)
-        if pairs.size == 0:
-            return np.zeros(0)
-        if pairs.min() < 0 or pairs.max() >= self.g.n:
-            raise ValueError("vertex out of range")
-        # The grouped planning (one batched solve over the distinct missing
-        # sources, every row cached under the LRU bound) is shared with the
-        # serving engine — it lives next to the cache itself.
-        return answer_pairs_cached(
-            self._cache, pairs, lambda missing: batched_sssp(self.spanner, missing)
-        )
+        return self.rows.answer(pairs)
 
     def all_pairs(self, *, allow_dense: bool = False) -> np.ndarray:
         """Full approximate APSP matrix (``O(n^2)`` memory).
@@ -196,11 +170,7 @@ class SpannerDistanceOracle:
                 "for bounded-memory answers."
             )
         membudget.note("distances.oracle.all_pairs", need)
-        if self._matrix is None:
-            d = np.full((self.g.n, self.g.n), np.inf)
-            np.fill_diagonal(d, 0.0)
-            return d
-        return csgraph.dijkstra(self._matrix, directed=False)
+        return apsp(self.spanner)
 
 
 def measure_approximation(

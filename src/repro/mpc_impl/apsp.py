@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from ..core.params import apsp_parameters, stretch_bound
+from ..graphs.distances import apsp, sssp
 from ..graphs.graph import WeightedGraph
 from .spanner_mpc import spanner_mpc
 
@@ -59,25 +59,16 @@ class MPCApspResult:
         self.k = k
         self.t = t
         self.construction_extra = construction_extra
-        self._matrix = spanner.to_scipy() if spanner.m else None
 
     @property
     def guaranteed_stretch(self) -> float:
         return stretch_bound(self.k, min(self.t, max(self.k - 1, 1)))
 
     def distances_from(self, source: int) -> np.ndarray:
-        if self._matrix is None:
-            d = np.full(self.g.n, np.inf)
-            d[source] = 0.0
-            return d
-        return csgraph.dijkstra(self._matrix, directed=False, indices=source)
+        return sssp(self.spanner, source)
 
     def all_pairs(self) -> np.ndarray:
-        if self._matrix is None:
-            d = np.full((self.g.n, self.g.n), np.inf)
-            np.fill_diagonal(d, 0.0)
-            return d
-        return csgraph.dijkstra(self._matrix, directed=False)
+        return apsp(self.spanner)
 
 
 def apsp_mpc(

@@ -1,32 +1,27 @@
-"""The serving-side query engine: cache, batch, shard.
+"""The serving-side query engine: one provider, sharded row solves.
 
-:class:`QueryEngine` answers approximate-distance queries on a *built*
-structure — a spanner graph (optionally via a
-:class:`~repro.distances.oracle.SpannerDistanceOracle`) or a
-:class:`~repro.distances.sketches.DistanceSketch` — and owns the three
-serving concerns the build-side objects should not:
+:class:`QueryEngine` serves whatever :func:`~repro.service.provider.build_providers`
+makes of a loaded artifact — a bare graph or an oracle (``rows``), a
+sketch (``sketch``), or a bundle (a :class:`PlannedProvider` over
+``exact``/``oracle``/``sketch``/``tiered``).  Row caching and batched
+planning live in the providers' :class:`~repro.core.cache.CachedRows`; the
+engine adds only what a serving replica needs on top:
 
-* **Caching** — per-source Dijkstra rows live in a bounded
-  :class:`~repro.core.cache.LRURowCache`, so steady-state traffic with a
-  hot source set never recomputes hot rows (the seed's ``clear()``
-  eviction thrash, fixed for both :meth:`query` and :meth:`query_many`).
-* **Batched planning** — :meth:`query_many` groups pending pairs by
-  source and dispatches *one* ``batched_sssp`` over the distinct missing
-  sources, instead of a Dijkstra per pair.
-* **Sharding** — with ``shards >= 2``, missing sources are partitioned
-  across a persistent ``ProcessPoolExecutor``.  All workers *and* the
-  parent read **one** physical copy of the spanner: the edge arrays and
-  the scipy CSR live in a :class:`~repro.service.shm.SharedGraphBuffers`
-  shared-memory segment, workers attach by name in the pool initializer
-  and rebuild a zero-copy graph over the views.  Worker memory is
-  therefore O(graph + ε) total, not O(shards × graph).  Rows come back to
-  the parent's cache, so sharded and serial engines answer bit-identically
-  — Dijkstra runs are independent per source.  :meth:`close` (or
-  interpreter exit, via an atexit hook) unlinks the segment.
-
-Sketch backends answer through the O(k) bidirectional pivot walk, which
-is already vectorized and needs neither rows nor shards; the engine is a
-uniform front end over both.
+* **Sharding** — the served spanner's rows are solved by
+  :meth:`QueryEngine._solve_rows`.  With ``shards >= 2``, the distinct
+  missing sources of a batch are partitioned across a persistent
+  ``ProcessPoolExecutor``.  All workers *and* the parent read **one**
+  physical copy of the spanner: the edge arrays and the scipy CSR live in
+  a :class:`~repro.service.shm.SharedGraphBuffers` shared-memory segment,
+  workers attach by name in the pool initializer and rebuild a zero-copy
+  graph over the views.  Worker memory is therefore O(graph + ε) total,
+  not O(shards × graph).  Rows come back to the provider's cache, so
+  sharded and serial engines answer bit-identically — Dijkstra runs are
+  independent per source.  :meth:`close` (or interpreter exit, via an
+  atexit hook) unlinks the segment.
+* **Accounting** — per-call latency and batch sizes of
+  :meth:`query_many`, plus rows solved, solve time and cache counters
+  summed over the engine's row providers, in :meth:`stats`.
 """
 
 from __future__ import annotations
@@ -38,13 +33,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from ..core import membudget
-from ..core.cache import LRURowCache, answer_pairs_cached
 from ..distances.oracle import SpannerDistanceOracle
-from ..distances.sketches import DistanceSketch
 from ..graphs.distances import batched_sssp
 from ..graphs.graph import WeightedGraph
 from .mem import process_memory
-from .provider import PlannedProvider, PlanTarget, ProviderBundle, build_providers
+from .provider import PlannedProvider, PlanTarget, build_providers
 from .shm import SharedGraphBuffers
 
 __all__ = ["QueryEngine"]
@@ -72,16 +65,19 @@ def _worker_memstats(settle_s: float) -> dict:
 
 
 class QueryEngine:
-    """Serve distance queries from a built spanner, oracle, or sketch.
+    """Serve distance queries from a built spanner, oracle, sketch, or bundle.
 
     Parameters
     ----------
     backend:
         A :class:`WeightedGraph` (the spanner queries run on), a built
-        :class:`SpannerDistanceOracle` (its spanner is used), or a
-        :class:`DistanceSketch`.
+        :class:`SpannerDistanceOracle` (its spanner is used), a
+        :class:`DistanceSketch`, or a
+        :class:`~repro.service.provider.ProviderBundle` (all backends,
+        routed by the planner); see
+        :func:`~repro.service.provider.build_providers`.
     cache_rows:
-        LRU bound on cached per-source distance rows (row backends only).
+        LRU bound on cached per-source distance rows, per row provider.
     shards:
         ``0``/``1`` solves missing rows in-process; ``>= 2`` partitions
         them across that many worker processes.  Workers start lazily on
@@ -106,54 +102,39 @@ class QueryEngine:
         meta: dict | None = None,
         target: PlanTarget | None = None,
     ) -> None:
-        self.sketch: DistanceSketch | None = None
-        self.planner: PlannedProvider | None = None
-        if isinstance(backend, ProviderBundle):
-            # Multi-backend serving: the planner routes between the exact,
-            # oracle, sketch and tiered providers.  The engine's (possibly
-            # sharded, shared-memory) row solver is handed to the *oracle*
-            # provider — the spanner is what the shm segment holds; exact
-            # rows on the full input graph always solve in-process.
-            self.graph = backend.spanner
-            providers = build_providers(
-                backend, cache_rows=cache_rows, oracle_solve_rows=self._solve_rows
-            )
-            self.planner = PlannedProvider(providers, target)
-        elif isinstance(backend, DistanceSketch):
-            self.sketch = backend
-            self.graph = backend.g
-        elif isinstance(backend, SpannerDistanceOracle):
-            self.graph = backend.spanner
-        elif isinstance(backend, WeightedGraph):
-            self.graph = backend
-        else:
-            raise TypeError(
-                f"backend must be a WeightedGraph, SpannerDistanceOracle, "
-                f"DistanceSketch or ProviderBundle, got {type(backend).__name__}"
-            )
-        if target is not None and self.planner is None:
+        if shards < 0:
+            raise ValueError("shards must be >= 0")
+        self.shards = int(shards)
+        self.meta = dict(meta or {})
+        self._pool: ProcessPoolExecutor | None = None
+        self._shared: SharedGraphBuffers | None = None
+        self.graph: WeightedGraph | None = None  # set by _row_solver
+        providers = build_providers(
+            backend, cache_rows=cache_rows, row_solver=self._row_solver
+        )
+        if len(providers) > 1:
+            self.planner: PlannedProvider | None = PlannedProvider(providers, target)
+            self.provider = self.planner
+        elif target is not None:
             raise ValueError(
                 "a plan target needs a ProviderBundle backend (persist the "
                 "artifact with kind='bundle' to serve all backends)"
             )
-        if shards < 0:
-            raise ValueError("shards must be >= 0")
-        self.n = self.graph.n
-        self.shards = int(shards)
-        self.meta = dict(meta or {})
-        self._cache = LRURowCache(cache_rows)
-        self._pool: ProcessPoolExecutor | None = None
-        self._shared: SharedGraphBuffers | None = None
+        else:
+            self.planner = None
+            (self.provider,) = providers.values()
+        if self.graph is None:  # a sketch solves no rows
+            self.graph = self.provider.graph
+        self._rows = [p.rows for p in providers.values() if hasattr(p, "rows")]
+        self.n = self.provider.n
         self.queries_served = 0
-        self.rows_solved = 0
         self.batches = 0
         # Cumulative latency/batch accounting (the serving layer's SLO
         # numbers come from here, one source of truth): total wall time
-        # inside query_many, total wall time inside row solves, rows
-        # attributable to query_many calls, a pairs-per-call histogram,
-        # and a bounded per-call log (pairs, rows, wall_s, solve_s).
+        # inside query_many, rows attributable to query_many calls, a
+        # pairs-per-call histogram, and a bounded per-call log (pairs,
+        # rows, wall_s, solve_s).
         self.query_many_wall_s = 0.0
-        self.solve_wall_s = 0.0
         self.batch_rows_solved = 0
         self._batch_pairs_hist: dict[int, int] = {}
         self.call_log: deque[dict] = deque(maxlen=1024)
@@ -192,8 +173,13 @@ class QueryEngine:
         )
 
     # ------------------------------------------------------------------
-    # Row solving (cache + shards)
+    # Row solving (shards)
     # ------------------------------------------------------------------
+    def _row_solver(self, graph: WeightedGraph):
+        """Serve rows on ``graph`` through :meth:`_solve_rows`."""
+        self.graph = graph
+        return self._solve_rows
+
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             if self._shared is None:
@@ -211,29 +197,29 @@ class QueryEngine:
 
     def _solve_rows(self, missing: np.ndarray) -> np.ndarray:
         """Dense ``(len(missing), n)`` distance rows for the given sources."""
-        self.rows_solved += int(missing.size)
-        start = time.perf_counter()
-        try:
-            if self.shards >= 2 and missing.size >= 2:
-                pool = self._ensure_pool()
-                chunks = [
-                    c for c in np.array_split(missing, min(self.shards, missing.size))
-                    if c.size
-                ]
-                futures = [pool.submit(_worker_rows, chunk) for chunk in chunks]
-                # np.array_split preserves order, so concatenation restores
-                # the original source order.
-                return np.concatenate([f.result() for f in futures], axis=0)
-            return batched_sssp(self.graph, missing)
-        finally:
-            self.solve_wall_s += time.perf_counter() - start
+        if self.shards >= 2 and missing.size >= 2:
+            pool = self._ensure_pool()
+            chunks = [
+                c for c in np.array_split(missing, min(self.shards, missing.size))
+                if c.size
+            ]
+            futures = [pool.submit(_worker_rows, chunk) for chunk in chunks]
+            # np.array_split preserves order, so concatenation restores
+            # the original source order.
+            return np.concatenate([f.result() for f in futures], axis=0)
+        return batched_sssp(self.graph, missing)
 
-    def _row(self, source: int) -> np.ndarray:
-        row = self._cache.get(source)
-        if row is None:
-            row = self._solve_rows(np.asarray([source], dtype=np.int64))[0].copy()
-            self._cache.put(source, row)
-        return row
+    def _solve_totals(self) -> tuple[int, float]:
+        """Rows solved and solve wall seconds, summed over the row providers."""
+        rows, wall = 0, 0.0
+        for r in self._rows:
+            rows += r.rows_solved
+            wall += r.solve_wall_s
+        return rows, wall
+
+    @property
+    def rows_solved(self) -> int:
+        return self._solve_totals()[0]
 
     # ------------------------------------------------------------------
     # Queries
@@ -245,9 +231,10 @@ class QueryEngine:
             return ()
         return tuple(sorted(self.planner.providers))
 
-    def _check_backend(self, backend: str | None) -> None:
+    def _route(self, backend: str | None) -> dict:
+        """Keyword arguments pinning a (validated) ``backend`` override."""
         if backend is None:
-            return
+            return {}
         if self.planner is None:
             raise ValueError(
                 "this engine serves a single fixed backend; load a 'bundle' "
@@ -257,6 +244,7 @@ class QueryEngine:
             raise ValueError(
                 f"unknown backend {backend!r} (have: {', '.join(self.backends())})"
             )
+        return {"backend": backend}
 
     def query(self, u: int, v: int, *, backend: str | None = None) -> float:
         """Approximate distance between ``u`` and ``v``.
@@ -266,26 +254,22 @@ class QueryEngine:
         """
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError("vertex out of range")
-        self._check_backend(backend)
+        route = self._route(backend)
         self.queries_served += 1
-        if self.planner is not None:
-            return self.planner.query(u, v, backend=backend)
-        if self.sketch is not None:
-            return self.sketch.query(u, v)
-        return float(self._row(u)[v])
+        return self.provider.query(u, v, **route)
 
     def query_many(self, pairs, *, backend: str | None = None) -> np.ndarray:
         """Batched :meth:`query` over an ``(r, 2)`` pair array.
 
-        Row backends plan the batch: pairs are grouped by source, rows
+        Row providers plan the batch: pairs are grouped by source, rows
         already cached are gathered immediately, and the distinct missing
-        sources go to *one* ``batched_sssp`` dispatch (sharded across the
-        worker pool when configured), landing in the cache for later
-        single queries.  Bundle-backed engines route the whole batch
-        through the planner; ``backend`` pins it to one fixed backend.
+        sources go to *one* row solve (sharded across the worker pool when
+        configured), landing in the cache for later single queries.
+        Bundle-backed engines route the whole batch through the planner;
+        ``backend`` pins it to one fixed backend.
         """
         pairs = np.asarray(pairs, dtype=np.int64)
-        self._check_backend(backend)
+        route = self._route(backend)
         if pairs.size == 0:
             return np.zeros(0)
         pairs = pairs.reshape(-1, 2)
@@ -294,29 +278,21 @@ class QueryEngine:
         self.queries_served += pairs.shape[0]
         self.batches += 1
         start = time.perf_counter()
-        rows_before = self.rows_solved
-        solve_before = self.solve_wall_s
-        if self.planner is not None:
-            out = self.planner.query_many(pairs, backend=backend)
-        elif self.sketch is not None:
-            out = self.sketch.query_many(pairs)
-        else:
-            # Shared planning with the oracle (repro.core.cache): one
-            # _solve_rows dispatch over the distinct missing sources —
-            # sharded across the worker pool when configured — with every
-            # row cached.
-            out = answer_pairs_cached(self._cache, pairs, self._solve_rows)
+        rows_before, solve_before = self._solve_totals()
+        out = self.provider.query_many(pairs, **route)
         wall = time.perf_counter() - start
+        rows_after, solve_after = self._solve_totals()
         npairs = int(pairs.shape[0])
+        rows = rows_after - rows_before
         self.query_many_wall_s += wall
-        self.batch_rows_solved += self.rows_solved - rows_before
+        self.batch_rows_solved += rows
         self._batch_pairs_hist[npairs] = self._batch_pairs_hist.get(npairs, 0) + 1
         self.call_log.append(
             {
                 "pairs": npairs,
-                "rows": self.rows_solved - rows_before,
+                "rows": rows,
                 "wall_s": wall,
-                "solve_s": self.solve_wall_s - solve_before,
+                "solve_s": solve_after - solve_before,
             }
         )
         return out
@@ -328,34 +304,24 @@ class QueryEngine:
         """Serving counters plus row-cache effectiveness (JSON-ready).
 
         The ``timing`` and ``batch_sizes`` keys are the cumulative
-        latency/batch accounting the socket server's SLO report reads;
-        every pre-existing key is unchanged.  Bundle-backed engines report
+        latency/batch accounting the socket server's SLO report reads.
+        ``rows_solved``, ``timing.solve_wall_s`` and ``cache`` are summed
+        over the engine's row providers (a sketch engine has none, so its
+        cache reports capacity 0).  Bundle-backed engines report
         ``backend="planned"`` plus a ``planner`` key with per-backend
-        counters, and aggregate the row providers' caches under ``cache``.
+        counters.
         """
-        if self.planner is not None:
-            backend_name = "planned"
-            # The engine's own cache is idle in planner mode — the row
-            # providers keep their own.  Aggregate them so dashboards and
-            # the CLI hit-rate line keep one place to look.
-            caches = [
-                p.cache.stats()
-                for p in self.planner.providers.values()
-                if hasattr(p, "cache")
-            ]
-            cache_stats = {
-                key: sum(c[key] for c in caches)
-                for key in ("capacity", "entries", "hits", "misses", "evictions")
-            }
-            total = cache_stats["hits"] + cache_stats["misses"]
-            cache_stats["hit_rate"] = (
-                round(cache_stats["hits"] / total, 4) if total else 0.0
-            )
-        else:
-            backend_name = "sketch" if self.sketch is not None else "rows"
-            cache_stats = self._cache.stats()
+        caches = [r.cache.stats() for r in self._rows]
+        cache_stats = {
+            key: sum(c[key] for c in caches)
+            for key in ("capacity", "entries", "hits", "misses", "evictions")
+        }
+        total = cache_stats["hits"] + cache_stats["misses"]
+        cache_stats["hit_rate"] = (
+            round(cache_stats["hits"] / total, 4) if total else 0.0
+        )
         return {
-            "backend": backend_name,
+            "backend": self.provider.name,
             "n": self.n,
             "m": self.graph.m,
             "shards": self.shards,
@@ -366,7 +332,7 @@ class QueryEngine:
             **({"planner": self.planner.stats()} if self.planner is not None else {}),
             "timing": {
                 "query_many_wall_s": round(self.query_many_wall_s, 6),
-                "solve_wall_s": round(self.solve_wall_s, 6),
+                "solve_wall_s": round(self._solve_totals()[1], 6),
                 "batch_rows_solved": self.batch_rows_solved,
                 "rows_per_call_mean": (
                     round(self.batch_rows_solved / self.batches, 3)

@@ -14,11 +14,14 @@ profiles:
   (:class:`~repro.distances.sketches.DistanceSketch`): stretch
   ``2k - 1``, ``O(k)`` per query, no rows at all.
 
-Before this module, callers hand-picked one path and the serving layer
-hard-coded the oracle.  Here every path implements one small protocol —
-``query`` / ``query_many`` / ``cost_model`` / ``stretch_bound`` — and
-:class:`PlannedProvider` routes each batch from a declarative
-:class:`PlanTarget`:
+Every path implements one small protocol — ``query`` / ``query_many`` /
+``cost_model`` / ``stretch_bound`` — and :func:`build_providers` turns
+every loaded artifact kind (a bare graph, an oracle, a sketch, or a
+:class:`ProviderBundle` holding all three paths) into providers, so the
+serving engine has one code path whatever it loaded.  The row paths are
+:class:`RowProvider` over the repo's one cached-row implementation,
+:class:`~repro.core.cache.CachedRows`.  :class:`PlannedProvider` routes each
+batch of a bundle from a declarative :class:`PlanTarget`:
 
 * ``backend="exact" | "oracle" | "sketch" | "tiered"`` — fixed routing;
 * ``backend="auto"`` — pick the cheapest backend (by observed per-query
@@ -45,11 +48,12 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..core.cache import LRURowCache, answer_pairs_cached
+from ..core.cache import CachedRows
 from ..core.params import stretch_bound as general_stretch_bound
 from ..distances.oracle import SpannerDistanceOracle
 from ..distances.sketches import DistanceSketch
@@ -100,7 +104,12 @@ class DistanceProvider(Protocol):
 
 class _TimedProvider:
     """Shared accounting: queries/batches served, wall time, and the
-    observed per-query latency EWMA + ring the planner routes on."""
+    observed per-query latency EWMA + ring the planner routes on.
+
+    :meth:`query` / :meth:`query_many` time the subclass's ``_query`` /
+    ``_query_many`` (the latter gets a non-empty ``(r, 2)`` int64 array);
+    keyword arguments pass through (the planner's ``backend``).
+    """
 
     name = "?"
 
@@ -122,6 +131,22 @@ class _TimedProvider:
             per_query if self.ewma_s is None else a * per_query + (1 - a) * self.ewma_s
         )
         self._lat_ring.append(per_query)
+
+    def query(self, u: int, v: int, **route) -> float:
+        start = time.perf_counter()
+        out = self._query(u, v, **route)
+        self._record(1, time.perf_counter() - start)
+        return out
+
+    def query_many(self, pairs, **route) -> np.ndarray:
+        pairs = np.asarray(pairs, dtype=np.int64)
+        if pairs.size == 0:
+            return np.zeros(0)
+        pairs = pairs.reshape(-1, 2)
+        start = time.perf_counter()
+        out = self._query_many(pairs, **route)
+        self._record(int(pairs.shape[0]), time.perf_counter() - start)
+        return out
 
     def observed_p99_s(self) -> float | None:
         """p99 of recent per-query latencies (per-call means), or ``None``
@@ -158,10 +183,9 @@ class RowProvider(_TimedProvider):
 
     ``name="exact"`` serves rows on the input graph (stretch 1);
     ``name="oracle"`` serves rows on a built spanner with the paper's
-    ``2 k^s`` guarantee.  Row planning is the shared
-    :func:`~repro.core.cache.answer_pairs_cached` discipline: pairs group
-    by source, missing sources go to *one* ``batched_sssp`` dispatch, and
-    rows land in a bounded LRU.  ``solve_rows`` lets a serving engine
+    ``2 k^s`` guarantee.  The rows, their LRU and their solve accounting
+    are one :class:`~repro.core.cache.CachedRows`; this class adds the
+    provider contract on top.  ``solve_rows`` lets a serving engine
     substitute its sharded solver for the default in-process one.
     """
 
@@ -179,15 +203,21 @@ class RowProvider(_TimedProvider):
         self.graph = graph
         self.n = graph.n
         self._stretch = float(stretch)
-        self.cache = LRURowCache(cache_rows)
-        self._solve_rows = solve_rows or (
-            lambda missing: batched_sssp(self.graph, missing)
+        self.rows = CachedRows(
+            graph.n, solve_rows or partial(batched_sssp, graph), cache_rows
         )
-        self.rows_solved = 0
 
     @property
     def stretch_bound(self) -> float:
         return self._stretch
+
+    @property
+    def cache(self):
+        return self.rows.cache
+
+    @property
+    def rows_solved(self) -> int:
+        return self.rows.rows_solved
 
     def cost_model(self) -> dict:
         return {
@@ -198,38 +228,16 @@ class RowProvider(_TimedProvider):
             "cache_rows": self.cache.capacity,
         }
 
-    def _solve(self, missing: np.ndarray) -> np.ndarray:
-        self.rows_solved += int(missing.size)
-        return self._solve_rows(missing)
-
     def peek_row(self, source: int):
         """The cached row for ``source`` or ``None`` — never solves, never
         touches recency (the tiered refinement hook)."""
         return self.cache.peek(source)
 
-    def query(self, u: int, v: int) -> float:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError("vertex out of range")
-        start = time.perf_counter()
-        row = self.cache.get(u)
-        if row is None:
-            row = self._solve(np.asarray([u], dtype=np.int64))[0].copy()
-            self.cache.put(u, row)
-        out = float(row[v])
-        self._record(1, time.perf_counter() - start)
-        return out
+    def _query(self, u: int, v: int) -> float:
+        return self.rows.distance(u, v)
 
-    def query_many(self, pairs) -> np.ndarray:
-        pairs = np.asarray(pairs, dtype=np.int64)
-        if pairs.size == 0:
-            return np.zeros(0)
-        pairs = pairs.reshape(-1, 2)
-        if pairs.min() < 0 or pairs.max() >= self.n:
-            raise ValueError("vertex out of range")
-        start = time.perf_counter()
-        out = answer_pairs_cached(self.cache, pairs, self._solve)
-        self._record(int(pairs.shape[0]), time.perf_counter() - start)
-        return out
+    def _query_many(self, pairs: np.ndarray) -> np.ndarray:
+        return self.rows.answer(pairs)
 
     def stats(self) -> dict:
         return {
@@ -252,6 +260,7 @@ class SketchProvider(_TimedProvider):
     def __init__(self, sketch: DistanceSketch, *, stretch: float | None = None) -> None:
         super().__init__()
         self.sketch = sketch
+        self.graph = sketch.g
         self.n = sketch.g.n
         self._stretch = float(stretch) if stretch is not None else 2.0 * sketch.k - 1.0
 
@@ -267,21 +276,11 @@ class SketchProvider(_TimedProvider):
             "row_cost": "none",
         }
 
-    def query(self, u: int, v: int) -> float:
-        start = time.perf_counter()
-        out = self.sketch.query(u, v)
-        self._record(1, time.perf_counter() - start)
-        return out
+    def _query(self, u: int, v: int) -> float:
+        return self.sketch.query(u, v)
 
-    def query_many(self, pairs) -> np.ndarray:
-        pairs = np.asarray(pairs, dtype=np.int64)
-        if pairs.size == 0:
-            return np.zeros(0)
-        pairs = pairs.reshape(-1, 2)
-        start = time.perf_counter()
-        out = self.sketch.query_many(pairs)
-        self._record(int(pairs.shape[0]), time.perf_counter() - start)
-        return out
+    def _query_many(self, pairs: np.ndarray) -> np.ndarray:
+        return self.sketch.query_many(pairs)
 
 
 class TieredProvider(_TimedProvider):
@@ -317,8 +316,7 @@ class TieredProvider(_TimedProvider):
             "row_cost": "none (hot rows only)",
         }
 
-    def query(self, u: int, v: int) -> float:
-        start = time.perf_counter()
+    def _query(self, u: int, v: int) -> float:
         out = self.sketch_provider.sketch.query(u, v)
         row = self.refiner.peek_row(u)
         if row is not None:
@@ -326,15 +324,9 @@ class TieredProvider(_TimedProvider):
             if refined < out:
                 out = refined
                 self.refined += 1
-        self._record(1, time.perf_counter() - start)
         return out
 
-    def query_many(self, pairs) -> np.ndarray:
-        pairs = np.asarray(pairs, dtype=np.int64)
-        if pairs.size == 0:
-            return np.zeros(0)
-        pairs = pairs.reshape(-1, 2)
-        start = time.perf_counter()
+    def _query_many(self, pairs: np.ndarray) -> np.ndarray:
         out = self.sketch_provider.sketch.query_many(pairs)
         for s in np.unique(pairs[:, 0]).tolist():
             row = self.refiner.peek_row(s)
@@ -345,7 +337,6 @@ class TieredProvider(_TimedProvider):
             better = refined < out[idx]
             self.refined += int(better.sum())
             out[idx] = np.minimum(out[idx], refined)
-        self._record(int(pairs.shape[0]), time.perf_counter() - start)
         return out
 
 
@@ -460,32 +451,26 @@ class PlannedProvider(_TimedProvider):
             # SLO unreachable: degrade to the fastest answer we can give.
         return min(candidates, key=lambda p: p.ewma_s).name
 
-    def query(self, u: int, v: int, *, backend: str | None = None) -> float:
+    def _pick(self, backend: str | None) -> str:
         name = backend or self.choose()
         if name not in self.providers:
             raise ValueError(
                 f"unknown backend {name!r} (have: {', '.join(sorted(self.providers))})"
             )
-        start = time.perf_counter()
+        return name
+
+    def _query(self, u: int, v: int, *, backend: str | None = None) -> float:
+        name = self._pick(backend)
         out = self.providers[name].query(u, v)
         self.routed[name] += 1
-        self._record(1, time.perf_counter() - start)
         return out
 
-    def query_many(self, pairs, *, backend: str | None = None) -> np.ndarray:
-        pairs = np.asarray(pairs, dtype=np.int64)
-        if pairs.size == 0:
-            return np.zeros(0)
-        pairs = pairs.reshape(-1, 2)
-        name = backend or self.choose()
-        if name not in self.providers:
-            raise ValueError(
-                f"unknown backend {name!r} (have: {', '.join(sorted(self.providers))})"
-            )
-        start = time.perf_counter()
+    def _query_many(
+        self, pairs: np.ndarray, *, backend: str | None = None
+    ) -> np.ndarray:
+        name = self._pick(backend)
         out = self.providers[name].query_many(pairs)
         self.routed[name] += int(pairs.shape[0])
-        self._record(int(pairs.shape[0]), time.perf_counter() - start)
         return out
 
     def stats(self) -> dict:
@@ -527,30 +512,53 @@ class ProviderBundle:
 
 
 def build_providers(
-    bundle: ProviderBundle,
+    backend,
     *,
     cache_rows: int = SpannerDistanceOracle.DEFAULT_CACHE_ROWS,
-    oracle_solve_rows=None,
+    row_solver=None,
 ) -> dict:
-    """The provider set a :class:`ProviderBundle` serves.
+    """The providers a loaded artifact serves, keyed by backend name.
 
-    ``oracle_solve_rows`` substitutes the serving engine's (possibly
-    sharded) row solver for the oracle path; the exact path always solves
-    in-process (its rows are on the full input graph, which the shared
-    spanner segment does not hold).
+    * :class:`ProviderBundle` — ``exact``, ``oracle``, ``sketch`` and
+      ``tiered`` (the planner's backends);
+    * :class:`SpannerDistanceOracle` — ``rows`` on its spanner, with the
+      oracle's guaranteed stretch;
+    * :class:`WeightedGraph` — ``rows`` on the graph itself (exact on it);
+    * :class:`DistanceSketch` — ``sketch``.
+
+    ``row_solver(graph)`` returns the row solver for the served spanner
+    (the bundle's ``oracle`` path, or the single ``rows`` path); a serving
+    engine passes its sharded one here.  The bundle's ``exact`` path
+    always solves in-process: its rows are on the full input graph, which
+    the engine's shared spanner segment does not hold.
     """
-    exact = RowProvider("exact", bundle.graph, stretch=1.0, cache_rows=cache_rows)
-    oracle = RowProvider(
-        "oracle",
-        bundle.spanner,
-        stretch=bundle.oracle_stretch,
-        cache_rows=cache_rows,
-        solve_rows=oracle_solve_rows,
+
+    def spanner_rows(name: str, graph: WeightedGraph, stretch: float) -> RowProvider:
+        return RowProvider(
+            name,
+            graph,
+            stretch=stretch,
+            cache_rows=cache_rows,
+            solve_rows=row_solver(graph) if row_solver is not None else None,
+        )
+
+    if isinstance(backend, ProviderBundle):
+        exact = RowProvider("exact", backend.graph, stretch=1.0, cache_rows=cache_rows)
+        oracle = spanner_rows("oracle", backend.spanner, backend.oracle_stretch)
+        sketch = SketchProvider(backend.sketch)
+        return {
+            "exact": exact,
+            "oracle": oracle,
+            "sketch": sketch,
+            "tiered": TieredProvider(sketch, oracle),
+        }
+    if isinstance(backend, SpannerDistanceOracle):
+        return {"rows": spanner_rows("rows", backend.spanner, backend.guaranteed_stretch)}
+    if isinstance(backend, WeightedGraph):
+        return {"rows": spanner_rows("rows", backend, 1.0)}
+    if isinstance(backend, DistanceSketch):
+        return {"sketch": SketchProvider(backend)}
+    raise TypeError(
+        f"backend must be a WeightedGraph, SpannerDistanceOracle, "
+        f"DistanceSketch or ProviderBundle, got {type(backend).__name__}"
     )
-    sketch = SketchProvider(bundle.sketch)
-    return {
-        "exact": exact,
-        "oracle": oracle,
-        "sketch": sketch,
-        "tiered": TieredProvider(sketch, oracle),
-    }

@@ -156,10 +156,6 @@ class QueryServer:
     max_pending:
         Admission bound on queued requests; beyond it queries are
         rejected with ``{"error": "overloaded"}``.
-    micro_batch:
-        ``False`` serves each request with one ``engine.query`` call
-        dispatched serially — the naive one-request-per-query server the
-        open-loop benchmark duels against.
     """
 
     def __init__(
@@ -171,7 +167,6 @@ class QueryServer:
         max_batch: int = 256,
         window_s: float = 0.002,
         max_pending: int = 8192,
-        micro_batch: bool = True,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -185,7 +180,6 @@ class QueryServer:
         self.max_batch = int(max_batch)
         self.window_s = float(window_s)
         self.max_pending = int(max_pending)
-        self.micro_batch = bool(micro_batch)
 
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -278,7 +272,6 @@ class QueryServer:
         """Server SLO numbers + the engine's accounting (JSON-ready)."""
         uptime = time.perf_counter() - self._t0
         return {
-            "mode": "micro_batch" if self.micro_batch else "serial",
             "max_batch": self.max_batch,
             "window_ms": round(self.window_s * 1e3, 3),
             "max_pending": self.max_pending,
@@ -404,7 +397,7 @@ class QueryServer:
         """Start a flush (batch full) or the window timer (first arrival)."""
         if self._flush_task is not None and not self._flush_task.done():
             return  # the running flush loop picks pending up when it returns
-        if not self.micro_batch or len(self._pending) >= self.max_batch:
+        if len(self._pending) >= self.max_batch:
             if self._timer is not None:
                 self._timer.cancel()
                 self._timer = None
@@ -430,37 +423,22 @@ class QueryServer:
         changes another client's answer path.
         """
         while self._pending:
-            if self.micro_batch:
-                take = min(self.max_batch, len(self._pending))
-                batch = [self._pending.popleft() for _ in range(take)]
-                groups: dict[str | None, list[_Request]] = {}
-                for req in batch:
-                    groups.setdefault(req.backend, []).append(req)
-                for backend, group in groups.items():
-                    pairs = np.array([(r.u, r.v) for r in group], dtype=np.int64)
-                    # Pass the backend kwarg only when pinned, so engine
-                    # wrappers unaware of multi-backend routing keep working.
-                    call = (
-                        partial(self.engine.query_many, pairs)
-                        if backend is None
-                        else partial(self.engine.query_many, pairs, backend=backend)
-                    )
-                    answers = await self._loop.run_in_executor(self._exec, call)
-                    self._deliver(group, answers, backend=backend)
-            else:
-                # The naive duel baseline: one engine.query dispatch and
-                # one write+drain per request, strictly serialized.
-                req = self._pending.popleft()
+            take = min(self.max_batch, len(self._pending))
+            batch = [self._pending.popleft() for _ in range(take)]
+            groups: dict[str | None, list[_Request]] = {}
+            for req in batch:
+                groups.setdefault(req.backend, []).append(req)
+            for backend, group in groups.items():
+                pairs = np.array([(r.u, r.v) for r in group], dtype=np.int64)
+                # Pass the backend kwarg only when pinned, so engine
+                # wrappers unaware of multi-backend routing keep working.
                 call = (
-                    partial(self.engine.query, req.u, req.v)
-                    if req.backend is None
-                    else partial(
-                        self.engine.query, req.u, req.v, backend=req.backend
-                    )
+                    partial(self.engine.query_many, pairs)
+                    if backend is None
+                    else partial(self.engine.query_many, pairs, backend=backend)
                 )
-                d = await self._loop.run_in_executor(self._exec, call)
-                self._deliver([req], [d], backend=req.backend)
-                await self._drain_writer(req.writer)
+                answers = await self._loop.run_in_executor(self._exec, call)
+                self._deliver(group, answers, backend=backend)
         self._flush_task = None
 
     def _deliver(
@@ -481,12 +459,9 @@ class QueryServer:
         for writer, lines in by_writer.items():
             if not writer.is_closing():
                 writer.write(b"".join(lines))
-        if self.micro_batch:
-            for writer in by_writer:
-                if not writer.is_closing():
-                    task = self._loop.create_task(self._drain_writer(writer))
-                    self._drain_tasks.add(task)
-                    task.add_done_callback(self._drain_tasks.discard)
+                task = self._loop.create_task(self._drain_writer(writer))
+                self._drain_tasks.add(task)
+                task.add_done_callback(self._drain_tasks.discard)
 
 
 class AsyncClient:

@@ -181,7 +181,7 @@ class TestBatchedDistances:
         assert got[0] == before
         assert got[1] == o.query(6, 8)
         assert got[5] == o.query(5, 8)
-        assert len(o._cache) == 1  # the bound held throughout
+        assert len(o.rows.cache) == 1  # the bound held throughout
 
 
 class TestGraphLookups:

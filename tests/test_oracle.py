@@ -132,8 +132,8 @@ class TestLRUCachePolicy:
         without recomputation (the seed's clear() policy failed this)."""
         o = SpannerDistanceOracle(g, k=4, t=2, rng=21, cache_rows=16)
         solved = []
-        orig = o._solve_row
-        o._solve_row = lambda s: solved.append(s) or orig(s)
+        orig = o.rows.solve_rows
+        o.rows.solve_rows = lambda s: solved.extend(s.tolist()) or orig(s)
         hot = o.query(0, 5)
         for s in range(1, g.n):  # 219 distinct cold sources through cap 16
             o.query(s, 7)

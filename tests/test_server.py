@@ -211,7 +211,6 @@ class TestProtocol:
 
         pong, stats = asyncio.run(run())
         assert pong["pong"] is True
-        assert stats["mode"] == "micro_batch"
         assert stats["served"] == 1
         assert stats["batches_flushed"] == 1
         assert stats["latency_ms"]["count"] == 1
