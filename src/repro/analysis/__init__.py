@@ -4,8 +4,8 @@
 the invariants nine PRs of this reproduction installed to fix real bugs —
 zero-copy memmap discipline, the ``coerce_rng`` seed contract, int64
 widening of index-key arithmetic, shared-memory lifecycles, non-blocking
-async serving, ``_json_safe`` CLI output, and content-pinned frozen
-reference baselines.  See :mod:`repro.analysis.framework` for the checker
+async serving, ``_json_safe`` CLI output, content-pinned frozen
+reference baselines, and one shortest-path kernel.  See :mod:`repro.analysis.framework` for the checker
 machinery and :mod:`repro.analysis.rules` for the rule battery.
 """
 

@@ -23,6 +23,7 @@ __all__ = [
     "AsyncBlockingRule",
     "JsonSafetyRule",
     "FrozenReferenceRule",
+    "DijkstraKernelRule",
     "all_rules",
 ]
 
@@ -363,6 +364,49 @@ class FrozenReferenceRule(Rule):
                 )
 
 
+class DijkstraKernelRule(Rule):
+    """scipy shortest-path calls outside the one Dijkstra kernel.
+
+    Origin: the directed-kernel change.  Every exact distance goes
+    through :func:`repro.graphs.distances.symmetric_dijkstra`, which runs
+    a directed solve over the graph's stored symmetric CSR.  A direct
+    ``csgraph.dijkstra(..., directed=False)`` elsewhere brings back the
+    per-call transpose and double arc scan the kernel removed from every
+    row solve, and a direct call of any kind re-forks the one place that
+    states the symmetric-CSR invariant the directed solve depends on.
+    """
+
+    id = "dijkstra-kernel"
+    description = (
+        "csgraph.dijkstra/shortest_path called outside graphs/distances.py"
+    )
+    hint = (
+        "call repro.graphs.distances.symmetric_dijkstra (or sssp / "
+        "batched_sssp / iter_sssp_chunks / apsp) instead"
+    )
+    exclude = ("graphs/distances.py",)
+
+    _SOLVERS = {"dijkstra", "shortest_path"}
+
+    def visit_Call(self, node: ast.Call, ctx: FileContext):
+        parts = (dotted_name(node.func) or "").split(".")
+        if len(parts) >= 2 and parts[-2] == "csgraph" and parts[-1] in self._SOLVERS:
+            yield node, (
+                f"direct csgraph.{parts[-1]}(...) call — exact distances "
+                "must go through the symmetric-CSR Dijkstra kernel"
+            )
+
+    def visit_ImportFrom(self, node: ast.ImportFrom, ctx: FileContext):
+        if (node.module or "").split(".")[-1] != "csgraph":
+            return
+        for alias in node.names:
+            if alias.name in self._SOLVERS:
+                yield node, (
+                    f"imports csgraph.{alias.name} — exact distances must "
+                    "go through the symmetric-CSR Dijkstra kernel"
+                )
+
+
 def all_rules() -> list[Rule]:
     """Fresh instances of every shipped rule, stable order."""
     return [
@@ -373,4 +417,5 @@ def all_rules() -> list[Rule]:
         AsyncBlockingRule(),
         JsonSafetyRule(),
         FrozenReferenceRule(),
+        DijkstraKernelRule(),
     ]

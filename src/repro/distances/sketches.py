@@ -18,7 +18,8 @@ sketch substrate that application builds on:
   stretch by the spanner's stretch.
 
 Implementation notes: pivots come from one multi-source Dijkstra per level
-(``scipy``'s ``min_only``); bunches come from a *level-batched, array-based*
+(the shared :func:`~repro.graphs.distances.symmetric_dijkstra` kernel with
+scipy's ``min_only``); bunches come from a *level-batched, array-based*
 truncated relaxation (:func:`build_bunches_batched`) that grows flat
 ``(vertex, center, dist)`` arrays one frontier hop at a time, pruning every
 candidate against the ``d(v, A_{i+1})`` truncation bound with one numpy
@@ -41,12 +42,11 @@ import heapq
 import math
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from ..core import membudget
 from ..core.params import coerce_rng
 from ..core.results import SpannerResult
-from ..graphs.distances import _gather_neighbors, iter_sssp_chunks
+from ..graphs.distances import _gather_neighbors, iter_sssp_chunks, symmetric_dijkstra
 from ..graphs.graph import WeightedGraph, sorted_lookup
 
 __all__ = [
@@ -277,8 +277,6 @@ class DistanceSketch:
             levels.append(prev[keep])
         self.levels = levels
 
-        mat = g.to_scipy() if g.m else None
-
         # --- pivots: d(v, A_i) and the achieving source ---------------------
         self.pivot_dist = np.full((k + 1, n), np.inf)
         self.pivot = np.full((k + 1, n), -1, dtype=np.int64)
@@ -286,11 +284,10 @@ class DistanceSketch:
         self.pivot[0] = np.arange(n)
         for i in range(1, k):
             ai = levels[i]
-            if ai.size == 0 or mat is None:
+            if ai.size == 0 or g.m == 0:
                 continue
-            dist, _, sources = csgraph.dijkstra(
-                mat, directed=False, indices=ai, min_only=True,
-                return_predecessors=True,
+            dist, _, sources = symmetric_dijkstra(
+                g, ai, min_only=True, return_predecessors=True
             )
             self.pivot_dist[i] = dist
             self.pivot[i] = sources

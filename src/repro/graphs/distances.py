@@ -1,10 +1,16 @@
-"""Exact shortest-path computation used as ground truth.
+"""Exact shortest-path computation: the one Dijkstra kernel.
 
-Spanner quality is always judged against exact distances.  For the problem
-sizes the benchmark harness uses (up to a few thousand vertices) scipy's
-compiled Dijkstra is the right tool; a pure-Python binary-heap Dijkstra is
-kept as an independently-verified reference implementation (the property
-tests cross-check the two).
+Every exact distance in the repository — spanner stretch checks, oracle
+and exact-backend rows, the APSP results, sketch pivots — comes from
+:func:`symmetric_dijkstra`, scipy's compiled Dijkstra run *directed* over
+the graph's cached CSR (:meth:`WeightedGraph.to_scipy`).  That matrix
+stores every edge as both arcs with the same weight, so the directed solve
+is the undirected one, minus the per-call transpose and the second arc
+scan that scipy's ``directed=False`` mode pays.  Multi-source runs are
+chunked against the memory budget (:mod:`repro.core.membudget`), so the
+number of sources is limited by time, not RAM.  A pure-Python binary-heap
+Dijkstra is kept as an independently-verified reference implementation
+(the property tests cross-check the two).
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from scipy.sparse import csgraph
 from .graph import WeightedGraph
 
 __all__ = [
+    "symmetric_dijkstra",
     "sssp",
     "sssp_reference",
     "batched_sssp",
@@ -50,6 +57,27 @@ def _chunk_rows(n: int, site: str) -> int:
     from ..core import membudget  # lazy: core imports this module
 
     return membudget.chunk_rows(n, entry_bytes=8)
+
+
+def symmetric_dijkstra(g: WeightedGraph, indices=None, **kwargs):
+    """scipy's Dijkstra over ``g.to_scipy()``, run as a *directed* solve.
+
+    Relies on the invariant :meth:`WeightedGraph.to_scipy` keeps: every
+    edge is stored as both arcs with the same weight, so the matrix is
+    symmetric and the arcs leaving a vertex are exactly its undirected
+    edges.  scipy's ``directed=False`` mode scans those arcs and then the
+    same arcs again through a transpose (``csgraph.T.tocsr()``, rebuilt
+    on every call); the second scan offers the labels the first one just
+    set and never improves any.  The directed solve skips it and the
+    transpose, and returns bit-identical distances, predecessors and
+    ``min_only`` sources.
+
+    ``indices`` and ``kwargs`` (``min_only``, ``return_predecessors``,
+    ...) pass straight to :func:`scipy.sparse.csgraph.dijkstra`.  Callers
+    handle ``g.m == 0`` themselves.  This is the only shortest-path call
+    site in the package (``repro lint`` rule ``dijkstra-kernel``).
+    """
+    return csgraph.dijkstra(g.to_scipy(), directed=True, indices=indices, **kwargs)
 
 
 def _note_alloc(site: str, nbytes: int) -> None:
@@ -86,18 +114,15 @@ def iter_sssp_chunks(g: WeightedGraph, sources: np.ndarray):
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
     if sources.size and (sources.min() < 0 or sources.max() >= g.n):
         raise ValueError("source out of range")
-    mat = g.to_scipy() if g.m else None
     site = "graphs.distances.iter_sssp_chunks"
     chunk = _chunk_rows(g.n, site)
     for lo in range(0, sources.size, chunk):
         block = sources[lo : lo + chunk]
-        if mat is None:
+        if g.m == 0:
             rows = np.full((block.size, g.n), _INF)
             rows[np.arange(block.size), block] = 0.0
         else:
-            rows = np.atleast_2d(
-                csgraph.dijkstra(mat, directed=False, indices=block)
-            )
+            rows = np.atleast_2d(symmetric_dijkstra(g, block))
         _note_alloc(site, rows.nbytes)
         yield lo, rows
 
@@ -105,7 +130,7 @@ def iter_sssp_chunks(g: WeightedGraph, sources: np.ndarray):
 def batched_sssp(g: WeightedGraph, sources: np.ndarray) -> np.ndarray:
     """Dijkstra from many sources at once: ``(len(sources), n)`` distances.
 
-    One chunked ``csgraph.dijkstra(indices=sources)`` call instead of a
+    One chunked :func:`symmetric_dijkstra` call instead of a
     Python loop of single-source runs; rows match :func:`sssp` exactly.
     The *returned* matrix is dense ``O(len(sources) · n)`` — callers with
     many sources that only need a reduction per row should stream
@@ -129,7 +154,7 @@ def sssp(g: WeightedGraph, source: int) -> np.ndarray:
         d = np.full(g.n, _INF)
         d[source] = 0.0
         return d
-    return csgraph.dijkstra(g.to_scipy(), directed=False, indices=source)
+    return symmetric_dijkstra(g, source)
 
 
 def sssp_reference(g: WeightedGraph, source: int) -> np.ndarray:
@@ -166,7 +191,7 @@ def apsp(g: WeightedGraph) -> np.ndarray:
         d = np.full((g.n, g.n), _INF)
         np.fill_diagonal(d, 0.0)
         return d
-    return csgraph.dijkstra(g.to_scipy(), directed=False)
+    return symmetric_dijkstra(g)
 
 
 def pairwise_distances(

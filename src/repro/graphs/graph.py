@@ -410,6 +410,14 @@ class WeightedGraph:
     def to_scipy(self) -> sparse.csr_matrix:
         """Symmetric scipy CSR matrix of weights (for shortest paths).
 
+        Every edge is stored as both arcs, ``(u, v)`` and ``(v, u)``, with
+        the same weight.  The shortest-path kernel
+        (:func:`repro.graphs.distances.symmetric_dijkstra`) depends on that
+        invariant: it runs a *directed* Dijkstra over this matrix, which
+        equals the undirected solve only because the matrix is symmetric.
+        Anything that preloads this cache (shared-memory attach) must hand
+        over the matrix this method built.
+
         Built lazily and cached: graphs are immutable, and every shortest-path
         entry point (``sssp``/``apsp``/``pairwise_distances``/stretch checks)
         hits this, so repeated calls must not rebuild the matrix.  Callers

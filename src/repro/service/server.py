@@ -23,6 +23,10 @@ Around the batcher:
   reports p50/p95/p99/mean/max milliseconds, qps, and the batch-size
   histogram, alongside :meth:`QueryEngine.stats` as the single source of
   truth for rows/batch accounting.
+* **Contained solve failures** — a ``query_many`` that raises fails
+  only its own backend group: each of its requests gets
+  ``{"error": "internal: <ExceptionType>"}``, ``solve_errors`` counts
+  the failed solve, and the flush loop carries on with the rest.
 * **Graceful drain** — :meth:`aclose` stops accepting, rejects new
   queries with ``{"error": "draining"}``, completes every in-flight
   batch, closes connections, and releases the engine (worker pool +
@@ -201,6 +205,7 @@ class QueryServer:
         self.served = 0
         self.rejected = 0
         self.protocol_errors = 0
+        self.solve_errors = 0
         self.batches_flushed = 0
         self.latencies_s: list[float] = []
         self.batch_size_hist: dict[int, int] = {}
@@ -262,6 +267,7 @@ class QueryServer:
         self.served = 0
         self.rejected = 0
         self.protocol_errors = 0
+        self.solve_errors = 0
         self.batches_flushed = 0
         self.latencies_s = []
         self.batch_size_hist = {}
@@ -278,6 +284,7 @@ class QueryServer:
             "served": self.served,
             "rejected": self.rejected,
             "protocol_errors": self.protocol_errors,
+            "solve_errors": self.solve_errors,
             "batches_flushed": self.batches_flushed,
             "pending": len(self._pending),
             "uptime_s": round(uptime, 3),
@@ -437,9 +444,22 @@ class QueryServer:
                     if backend is None
                     else partial(self.engine.query_many, pairs, backend=backend)
                 )
-                answers = await self._loop.run_in_executor(self._exec, call)
+                try:
+                    answers = await self._loop.run_in_executor(self._exec, call)
+                except Exception as exc:
+                    self._fail(group, exc)
+                    continue
                 self._deliver(group, answers, backend=backend)
         self._flush_task = None
+
+    def _fail(self, group: list[_Request], exc: Exception) -> None:
+        """A group's solve raised: every request in it gets an error reply,
+        and the flush loop carries on with the remaining groups."""
+        self.solve_errors += 1
+        error = f"internal: {type(exc).__name__}"
+        self._write_replies(
+            (req.writer, _encode({"id": req.rid, "error": error})) for req in group
+        )
 
     def _deliver(
         self, batch: list[_Request], answers, *, backend: str | None = None
@@ -449,13 +469,20 @@ class QueryServer:
         self.batch_size_hist[len(batch)] = self.batch_size_hist.get(len(batch), 0) + 1
         label = backend or "auto"
         self.backend_served[label] = self.backend_served.get(label, 0) + len(batch)
-        by_writer: dict[asyncio.StreamWriter, list[bytes]] = {}
+        replies = []
         for req, d in zip(batch, answers):
             d = float(d)
             payload = {"id": req.rid, "d": d if math.isfinite(d) else None}
-            by_writer.setdefault(req.writer, []).append(_encode(payload))
+            replies.append((req.writer, _encode(payload)))
             self.latencies_s.append(now - req.t0)
         self.served += len(batch)
+        self._write_replies(replies)
+
+    def _write_replies(self, replies) -> None:
+        """Write ``(writer, line)`` replies, one write + drain per writer."""
+        by_writer: dict[asyncio.StreamWriter, list[bytes]] = {}
+        for writer, line in replies:
+            by_writer.setdefault(writer, []).append(line)
         for writer, lines in by_writer.items():
             if not writer.is_closing():
                 writer.write(b"".join(lines))

@@ -38,6 +38,7 @@ CASES = [
     ("async-blocking", "async", "service/fixture.py"),
     ("json-safety", "json", "cli.py"),
     ("frozen-reference", "frozen", "fixture.py"),
+    ("dijkstra-kernel", "dijkstra", "distances/fixture.py"),
 ]
 
 
@@ -98,6 +99,12 @@ class TestPathScoping:
         assert check_source(source, _rule("json-safety"), rel="runner/plan.py") == []
         assert check_source(source, _rule("json-safety"), rel="cli.py")
 
+    def test_dijkstra_rule_quiet_in_the_kernel_module(self):
+        source = (FIXTURES / "dijkstra_bad.py").read_text()
+        rule = _rule("dijkstra-kernel")
+        assert check_source(source, rule, rel="graphs/distances.py") == []
+        assert check_source(source, rule, rel="graphs/quotient.py")
+
 
 class TestFramework:
     def test_module_relpath(self):
@@ -133,7 +140,7 @@ class TestFramework:
 
     def test_rule_metadata_complete(self):
         rules = all_rules()
-        assert len({r.id for r in rules}) == len(rules) == 7
+        assert len({r.id for r in rules}) == len(rules) == 8
         for rule in rules:
             assert rule.id and rule.description and rule.hint
 
@@ -161,7 +168,7 @@ class TestFrozenReferences:
 
 
 class TestBaselineRegression:
-    """Reverting a PR-10 baseline fix must re-fail the lint gate."""
+    """Reverting a baseline fix must re-fail the lint gate."""
 
     def test_reverting_stream_rng_fix_fails_lint(self):
         source = (SRC / "repro/streaming/stream.py").read_text()
@@ -186,6 +193,19 @@ class TestBaselineRegression:
         assert reverted != source
         findings = check_source(reverted, _rule("memmap-copy"), rel=rel)
         assert findings and all(f.rule == "memmap-copy" for f in findings)
+
+    def test_reverting_sketch_pivot_kernel_fails_lint(self):
+        source = (SRC / "repro/distances/sketches.py").read_text()
+        rel = "distances/sketches.py"
+        assert check_source(source, _rule("dijkstra-kernel"), rel=rel) == []
+        reverted = source.replace(
+            "dist, _, sources = symmetric_dijkstra(\n                g, ai,",
+            "dist, _, sources = csgraph.dijkstra(\n                "
+            "g.to_scipy(), directed=False, indices=ai,",
+        )
+        assert reverted != source
+        findings = check_source(reverted, _rule("dijkstra-kernel"), rel=rel)
+        assert [f.rule for f in findings] == ["dijkstra-kernel"]
 
 
 class TestAcceptance:

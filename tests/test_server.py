@@ -67,6 +67,26 @@ class SlowEngine:
         return getattr(self._inner, name)
 
 
+class FailingEngine:
+    """Delegating engine whose first ``fail`` solves raise ``exc`` (only
+    those pinned to ``backend``, when one is given)."""
+
+    def __init__(self, inner, *, fail: int = 1, exc=MemoryError, backend=None):
+        self._inner = inner
+        self.fail = fail
+        self.exc = exc
+        self.backend = backend
+
+    def query_many(self, pairs, **kwargs):
+        if self.fail and kwargs.get("backend") == self.backend:
+            self.fail -= 1
+            raise self.exc("solve failed")
+        return self._inner.query_many(pairs, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
 async def _burst(server, payloads):
     """One connection, pipelined sends; returns replies in send order."""
     cli = await AsyncClient.connect(server.host, server.port)
@@ -510,3 +530,59 @@ class TestBackendRouting:
         (reply,) = asyncio.run(run())
         engine.close()
         assert "single fixed backend" in reply["error"]
+
+
+class TestSolveFailure:
+    """A solve that raises fails only its own requests: each gets an
+    error reply, the failure is counted, and serving carries on."""
+
+    def test_failed_solve_replies_and_server_recovers(self, oracle):
+        async def run():
+            engine = FailingEngine(QueryEngine(oracle))
+            async with QueryServer(engine, window_s=0.001) as server:
+                cli = await AsyncClient.connect(server.host, server.port)
+                failed = await asyncio.wait_for(
+                    cli.request({"op": "query", "u": 0, "v": 5}), timeout=1.0
+                )
+                d = await asyncio.wait_for(cli.query(0, 5), timeout=1.0)
+                stats = await cli.stats()
+                await cli.close()
+                return failed, d, stats
+
+        failed, d, stats = asyncio.run(run())
+        assert failed == {"id": 0, "error": "internal: MemoryError"}
+        assert d == oracle.query(0, 5)
+        assert stats["solve_errors"] == 1
+        assert stats["served"] == 1
+        assert stats["batches_flushed"] == 1
+
+    def test_other_backend_groups_in_the_window_are_answered(self, g):
+        from repro.distances.sketches import DistanceSketch
+        from repro.service import ProviderBundle, build_providers
+
+        bundle = ProviderBundle(
+            graph=g, spanner=g, k=3, t=2, t_effective=2,
+            sketch=DistanceSketch(g, 3, rng=0),
+        )
+        pairs = [(i, (i * 13) % g.n) for i in range(8)]
+        backends = ["sketch", "exact"] * 4
+        payloads = [
+            {"op": "query", "u": u, "v": v, "backend": b}
+            for (u, v), b in zip(pairs, backends)
+        ]
+
+        async def run():
+            engine = FailingEngine(QueryEngine(bundle), backend="sketch")
+            async with QueryServer(engine, window_s=0.02, max_batch=64) as server:
+                replies = await asyncio.wait_for(_burst(server, payloads), timeout=2.0)
+                return replies, server.stats()
+
+        replies, stats = asyncio.run(run())
+        exact = build_providers(bundle)["exact"]
+        for (u, v), b, reply in zip(pairs, backends, replies):
+            if b == "sketch":
+                assert reply["error"] == "internal: MemoryError"
+            else:
+                assert reply["d"] == exact.query(u, v)
+        assert stats["solve_errors"] == 1
+        assert stats["backend_served"] == {"exact": 4}
