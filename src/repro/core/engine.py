@@ -18,12 +18,18 @@ and returns the surviving clustering, the edges added to the spanner
 (identified by *caller-provided provenance ids*, so they always refer to the
 original input graph), and per-iteration instrumentation.
 
-Vectorization strategy (this is the hot loop of the whole library): the
-per-super-node/per-neighboring-cluster grouping is done with one
-``np.lexsort`` over directed arcs per iteration, after which group minima,
-per-node choices and group discards are all segment operations — no Python
-loop over nodes or edges.  This mirrors the paper's own MPC implementation
-(Section 6), which performs the same grouping with a distributed sort.
+Vectorization strategy (this is the hot loop of the whole library): each
+call ranks its records once by (weight, eid) with one ``np.lexsort``.  An
+iteration then lays out the two arcs of every alive record in rank order
+and groups them by (tail, head cluster) with a single stable integer-key
+``np.argsort``.  Stability keeps every group in rank order, so a group's
+first arc is its minimum, and arc indices order the leaders by (weight,
+eid); the closest sampled cluster of a tail is then a
+``np.minimum.reduceat`` over the arc indices of its sampled group leaders.
+Per-group actions and discards are segment operations — no Python loop
+over nodes or edges.  This mirrors the paper's own MPC implementation
+(Section 6), which performs the same grouping with one distributed sort
+per iteration.
 """
 
 from __future__ import annotations
@@ -85,9 +91,8 @@ class EdgeSet:
         pos = np.asarray(positions, dtype=np.int64)
         if pos.size == 0:
             return
-        pos = np.unique(pos)
-        self._alive_count -= int(self.alive[pos].sum())
         self.alive[pos] = False
+        self._alive_count = int(np.count_nonzero(self.alive))
 
     def kill_all(self) -> None:
         """Mark every record dead."""
@@ -129,13 +134,42 @@ class GrowthOutcome:
     radius_bound: np.ndarray
 
 
-def _group_leaders(sort_idx: np.ndarray, keys1: np.ndarray, keys2: np.ndarray) -> np.ndarray:
-    """Boolean mask (in sorted order) marking the first arc of each
-    ``(keys1, keys2)`` group; inputs are the *sorted* key arrays."""
-    lead = np.ones(sort_idx.size, dtype=bool)
-    if sort_idx.size > 1:
-        lead[1:] = (keys1[1:] != keys1[:-1]) | (keys2[1:] != keys2[:-1])
-    return lead
+def _arc_groups(
+    edges: EdgeSet,
+    ranked: np.ndarray,
+    labels: np.ndarray,
+    tail_ok: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group the arcs of the records at ``ranked`` by (tail, head cluster).
+
+    ``ranked`` lists record positions in (weight, eid) order.  Arcs ``2i``
+    and ``2i + 1`` are record ``ranked[i]`` read ``u -> v`` and ``v -> u``,
+    so arc indices follow the same order; arcs whose tail fails
+    ``tail_ok`` are dropped.  One stable sort on ``tail * n + cluster``
+    keeps every group in (weight, eid) order, so a group's first arc is its
+    minimum, and comparing two arc indices compares (weight, eid).  Records
+    that tie on both (only possible when eids repeat) keep ``ranked``'s
+    order.
+
+    Returns ``(tail, cluster, pos, order, lead)``: per arc (in arc order)
+    its tail, head cluster and record position; the grouping permutation;
+    and the indices into ``order`` at which the groups start.
+    """
+    tail = np.empty(2 * ranked.size, dtype=np.int64)
+    tail[0::2] = edges.u[ranked]
+    tail[1::2] = edges.v[ranked]
+    head = np.empty_like(tail)
+    head[0::2] = tail[1::2]
+    head[1::2] = tail[0::2]
+    pos = np.repeat(ranked, 2)
+    if tail_ok is not None:
+        keep = tail_ok[tail]
+        tail, head, pos = tail[keep], head[keep], pos[keep]
+    cluster = labels[head]
+    key = tail * edges.num_nodes + cluster
+    order = np.argsort(key, kind="stable")
+    lead = np.flatnonzero(np.diff(key[order], prepend=-1))
+    return tail, cluster, pos, order, lead
 
 
 def run_growth_iterations(
@@ -195,6 +229,9 @@ def run_growth_iterations(
 
     spanner: list[np.ndarray] = []
     stats: list[IterationStats] = []
+    # Record positions in (weight, eid) order; each iteration keeps the
+    # alive ones, so its arcs come out already ranked.
+    rank = np.lexsort((edges.eid, edges.w))
 
     for j in range(1, iterations + 1):
         p = probability(j) if callable(probability) else float(probability)
@@ -215,9 +252,6 @@ def run_growth_iterations(
         node_sampled = active & sampled_flag[np.where(labels >= 0, labels, 0)]
         processing = active & ~node_sampled
 
-        eu, ev, ew, eeid = edges.alive_view()
-        edge_pos = np.flatnonzero(edges.alive)
-
         added_this_iter: list[np.ndarray] = []
         new_labels = labels.copy()
         # Every processing node retires unless it joins below.
@@ -226,89 +260,56 @@ def run_growth_iterations(
         join_edge_per_node = np.full(n, -1, dtype=np.int64)  # provenance id
         join_cluster_per_node = np.full(n, -1, dtype=np.int64)
 
-        if eu.size:
-            # --- Build directed arcs with processing tails ----------------
-            tails = np.concatenate([eu, ev])
-            heads = np.concatenate([ev, eu])
-            aw = np.concatenate([ew, ew])
-            aeid = np.concatenate([eeid, eeid])
-            apos = np.concatenate([edge_pos, edge_pos])
-            keep = processing[tails]
-            tails, heads, aw, aeid, apos = (
-                tails[keep],
-                heads[keep],
-                aw[keep],
-                aeid[keep],
-                apos[keep],
-            )
-        else:
-            tails = np.zeros(0, dtype=np.int64)
-
+        tails, hc, apos, order, lead_idx = _arc_groups(
+            edges, rank[edges.alive[rank]], labels, processing
+        )
         if tails.size:
-            hc = labels[heads]  # head's cluster (>= 0: invariant)
-            order = np.lexsort((aeid, aw, hc, tails))
-            tails_s, hc_s, aw_s, aeid_s, apos_s = (
-                tails[order],
-                hc[order],
-                aw[order],
-                aeid[order],
-                apos[order],
-            )
-            lead = _group_leaders(order, tails_s, hc_s)
-            lead_idx = np.flatnonzero(lead)
-            # Per-(tail, cluster) group leader data:
-            gt = tails_s[lead_idx]
-            gc = hc_s[lead_idx]
-            gw = aw_s[lead_idx]
-            geid = aeid_s[lead_idx]
-            g_start = lead_idx
-            g_end = np.append(lead_idx[1:], tails_s.size)
-            g_sampled = sampled_flag[gc]
+            # Per-(tail, cluster) group leader: the group's minimum arc.
+            lead_arc = order[lead_idx]
+            gt = tails[lead_arc]
+            gw = edges.w[apos[lead_arc]]
+            g_sampled = sampled_flag[hc[lead_arc]]
 
             # --- Choose the join target per tail ---------------------------
-            # Sort group leaders by (tail, unsampled-last, weight, eid);
-            # the first leader of each tail then tells the node's fate.
-            gorder = np.lexsort((geid, gw, ~g_sampled, gt))
-            gt_o = gt[gorder]
-            first = np.ones(gt_o.size, dtype=bool)
-            first[1:] = gt_o[1:] != gt_o[:-1]
-            first_leader = gorder[first]  # index into group arrays, per tail
-
-            f_tail = gt[first_leader]
-            f_sampled = g_sampled[first_leader]
-            f_w = gw[first_leader]
-            f_eid = geid[first_leader]
-            f_cluster = gc[first_leader]
-
-            joiners = f_sampled
-            join_edge_per_node[f_tail[joiners]] = f_eid[joiners]
-            join_cluster_per_node[f_tail[joiners]] = f_cluster[joiners]
+            # Groups are sorted by tail, so each tail's groups form one
+            # segment; the smallest leader arc index over its sampled groups
+            # is the closest sampled cluster (``no_join`` when none was).
+            new_tail = np.diff(gt, prepend=-1) != 0
+            tail_start = np.flatnonzero(new_tail)
+            tail_of_group = np.cumsum(new_tail) - 1
+            no_join = tails.size
+            best = np.minimum.reduceat(np.where(g_sampled, lead_arc, no_join), tail_start)
+            joiners = best < no_join
+            join_arc = best[joiners]
+            join_pos = apos[join_arc]
+            f_tail = gt[tail_start[joiners]]
+            f_cluster = hc[join_arc]
+            join_edge_per_node[f_tail] = edges.eid[join_pos]
+            join_cluster_per_node[f_tail] = f_cluster
 
             # --- Decide per-group actions ----------------------------------
             # Map each group to its tail's join weight (inf when retiring,
             # which makes every neighboring group "strictly closer" and thus
-            # connected + discarded — exactly Step B4).
-            join_w = np.full(n, np.inf)
-            join_w[f_tail[joiners]] = f_w[joiners]
-
-            g_join_w = join_w[gt]
-            g_is_join_group = np.zeros(gt.size, dtype=bool)
-            g_is_join_group[first_leader[joiners]] = True
+            # connected + discarded — exactly Step B4).  Weights, not arc
+            # indices, are compared: a group tied with the join edge stays.
+            join_w = np.full(tail_start.size, np.inf)
+            join_w[joiners] = edges.w[join_pos]
+            g_is_join_group = lead_arc == best[tail_of_group]
             # A neighboring group is connected-and-discarded iff it is
             # strictly closer than the join edge (or the node retires).
-            g_connect = (~g_is_join_group) & (gw < g_join_w)
+            g_connect = (~g_is_join_group) & (gw < join_w[tail_of_group])
             g_discard = g_connect | g_is_join_group
 
-            added_this_iter.append(geid[g_connect])
-            added_this_iter.append(join_edge_per_node[f_tail[joiners]])
+            added_this_iter.append(edges.eid[apos[lead_arc[g_connect]]])
+            added_this_iter.append(join_edge_per_node[f_tail])
 
             # --- Apply discards --------------------------------------------
             # Expand group decisions back onto sorted arcs, then onto edges.
-            group_of_arc = np.cumsum(lead) - 1  # per sorted arc
-            arc_discard = g_discard[group_of_arc]
-            edges.kill(apos_s[arc_discard])
+            group_sizes = np.diff(lead_idx, append=order.size)
+            arc_discard = np.repeat(g_discard, group_sizes)
+            edges.kill(apos[order[arc_discard]])
 
-            new_labels[f_tail[joiners]] = f_cluster[joiners]
+            new_labels[f_tail] = f_cluster
 
         # Processing nodes with no alive incident edges retire silently
         # (already handled by the default -1 assignment).
@@ -370,22 +371,16 @@ def phase2_edges(edges: EdgeSet, labels: np.ndarray) -> np.ndarray:
     joins the spanner; everything else is discarded.  Marks all alive edges
     dead and returns the provenance ids added.
     """
-    eu, ev, ew, eeid = edges.alive_view()
-    if eu.size == 0:
+    if edges.num_alive == 0:
         return np.zeros(0, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
-    tails = np.concatenate([eu, ev])
-    heads = np.concatenate([ev, eu])
-    aw = np.concatenate([ew, ew])
-    aeid = np.concatenate([eeid, eeid])
-    hc = labels[heads]
+    alive = np.flatnonzero(edges.alive)
+    ranked = alive[np.lexsort((edges.eid[alive], edges.w[alive]))]
+    _, hc, apos, order, lead_idx = _arc_groups(edges, ranked, labels)
     if (hc < 0).any():
         raise AssertionError(
             "alive edge endpoint outside any final cluster — Lemma 5.6 violated"
         )
-    order = np.lexsort((aeid, aw, hc, tails))
-    t_s, c_s = tails[order], hc[order]
-    lead = _group_leaders(order, t_s, c_s)
-    chosen = aeid[order][lead]
+    chosen = edges.eid[apos[order[lead_idx]]]
     edges.kill_all()
     return np.unique(chosen)

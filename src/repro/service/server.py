@@ -19,8 +19,10 @@ Around the batcher:
   excess requests get an explicit ``{"error": "overloaded"}`` reply
   instead of unbounded queueing latency collapse.
 * **Latency SLOs** — every request's queue+solve+reply latency is
-  captured; the ``stats`` protocol verb (and :meth:`QueryServer.stats`)
-  reports p50/p95/p99/mean/max milliseconds, qps, and the batch-size
+  captured, and the most recent :data:`LATENCY_SAMPLES` are kept; the
+  ``stats`` protocol verb (and :meth:`QueryServer.stats`) reports
+  p50/p95/p99/mean/max milliseconds over that window (its ``count`` is
+  the window's size, not the number served), qps, and the batch-size
   histogram, alongside :meth:`QueryEngine.stats` as the single source of
   truth for rows/batch accounting.
 * **Contained solve failures** — a ``query_many`` that raises fails
@@ -84,6 +86,12 @@ __all__ = [
     "parse_hostport",
     "latency_summary",
 ]
+
+
+#: How many of the most recent per-request latencies a server keeps for
+#: its percentiles; older samples drop out, so memory and the cost of a
+#: ``stats`` call stay bounded however long the server runs.
+LATENCY_SAMPLES = 65536
 
 
 def latency_summary(latencies_s) -> dict:
@@ -207,7 +215,7 @@ class QueryServer:
         self.protocol_errors = 0
         self.solve_errors = 0
         self.batches_flushed = 0
-        self.latencies_s: list[float] = []
+        self.latencies_s: deque[float] = deque(maxlen=LATENCY_SAMPLES)
         self.batch_size_hist: dict[int, int] = {}
         self.backend_served: dict[str, int] = {}
 
@@ -269,13 +277,17 @@ class QueryServer:
         self.protocol_errors = 0
         self.solve_errors = 0
         self.batches_flushed = 0
-        self.latencies_s = []
+        self.latencies_s.clear()
         self.batch_size_hist = {}
         self.backend_served = {}
         self._t0 = time.perf_counter()
 
     def stats(self) -> dict:
-        """Server SLO numbers + the engine's accounting (JSON-ready)."""
+        """Server SLO numbers + the engine's accounting (JSON-ready).
+
+        ``latency_ms`` summarizes the most recent :data:`LATENCY_SAMPLES`
+        requests; its ``count`` is the number of samples in that window.
+        """
         uptime = time.perf_counter() - self._t0
         return {
             "max_batch": self.max_batch,

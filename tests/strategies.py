@@ -12,6 +12,8 @@ Strategies
 ``random_graph``
     An arbitrary simple weighted/unweighted graph (direct edge sampling —
     covers degenerate shapes no generator family produces).
+``mixed_weight_graph``
+    A ``random_graph`` with uniform, unit or {1, 2} weights (ties).
 ``graph_spec_strings``
     A canonical graph-spec string drawn across the generator families the
     runner/certifier vocabulary exposes (small sizes, always buildable).
@@ -33,6 +35,7 @@ from repro.graphs.specs import GraphSpec
 
 __all__ = [
     "random_graph",
+    "mixed_weight_graph",
     "graph_spec_strings",
     "spanner_ks",
     "growth_ts",
@@ -80,6 +83,20 @@ def random_graph(draw, max_n: int = 40, max_m: int = 160, weighted: bool = True)
     else:
         w = np.ones(m)
     return WeightedGraph(n, np.asarray(us, np.int64), np.asarray(vs, np.int64), w)
+
+
+@st.composite
+def mixed_weight_graph(draw, max_n: int = 30, max_m: int = 90):
+    """A :func:`random_graph` with uniform weights, unit weights, or
+    weights in {1, 2} (many ties); it also yields ``m == 0``, isolated
+    vertices and disconnected scatters."""
+    model = draw(st.sampled_from(["uniform", "unit", "ties"]))
+    g = draw(random_graph(max_n=max_n, max_m=max_m, weighted=model == "uniform"))
+    if model == "ties" and g.m:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        w = rng.integers(1, 3, size=g.m).astype(np.float64)
+        g = WeightedGraph(g.n, g.edges_u, g.edges_v, w)
+    return g
 
 
 @st.composite

@@ -26,23 +26,9 @@ from repro.distances.sketches import DistanceSketch
 from repro.graphs import WeightedGraph
 from repro.graphs import distances as gd
 from repro.service import ArtifactStore, SharedGraphBuffers
-from tests.strategies import random_graph
+from tests.strategies import mixed_weight_graph
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
-
-
-@st.composite
-def kernel_graphs(draw):
-    """Uniform weights, unit weights, or weights in {1, 2} (many ties);
-    ``random_graph`` also yields ``m == 0``, isolated vertices and
-    disconnected scatters."""
-    model = draw(st.sampled_from(["uniform", "unit", "ties"]))
-    g = draw(random_graph(max_n=30, max_m=90, weighted=model == "uniform"))
-    if model == "ties" and g.m:
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        w = rng.integers(1, 3, size=g.m).astype(np.float64)
-        g = WeightedGraph(g.n, g.edges_u, g.edges_v, w)
-    return g
 
 
 def undirected(g: WeightedGraph, indices=None, **kwargs):
@@ -56,7 +42,7 @@ def assert_symmetric(g: WeightedGraph) -> None:
 
 
 @settings(max_examples=60, deadline=None)
-@given(g=kernel_graphs(), data=st.data())
+@given(g=mixed_weight_graph(), data=st.data())
 def test_entry_points_match_undirected_dijkstra(g, data):
     assert_symmetric(g)
     src = data.draw(st.integers(0, g.n - 1))
@@ -76,7 +62,7 @@ def test_entry_points_match_undirected_dijkstra(g, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(g=kernel_graphs(), data=st.data())
+@given(g=mixed_weight_graph(), data=st.data())
 def test_kernel_predecessors_and_min_only_sources_match(g, data):
     if g.m == 0:
         return  # callers never hand the kernel an edgeless graph
@@ -96,7 +82,7 @@ def test_kernel_predecessors_and_min_only_sources_match(g, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(g=kernel_graphs(), k=st.integers(2, 5), seed=st.integers(0, 10**6))
+@given(g=mixed_weight_graph(), k=st.integers(2, 5), seed=st.integers(0, 10**6))
 def test_sketch_pivots_match_undirected_dijkstra(g, k, seed):
     sk = DistanceSketch(g, k, rng=seed)
     for i in range(1, k):

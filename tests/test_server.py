@@ -29,6 +29,7 @@ import pytest
 from repro.distances import SpannerDistanceOracle
 from repro.graphs import WeightedGraph, erdos_renyi
 from repro.service import AsyncClient, QueryEngine, QueryServer, serve_pipe
+from repro.service import server as server_mod
 from repro.service.server import latency_summary, parse_hostport
 from repro.service.shm import shm_segments
 
@@ -237,6 +238,29 @@ class TestProtocol:
         assert stats["latency_ms"]["p99_ms"] >= 0
         assert stats["batch_size_hist"] == {"1": 1}
         assert "cache" in stats["engine"]  # engine accounting rides along
+
+    def test_latency_samples_stay_at_the_cap(self, oracle, monkeypatch):
+        """Only the most recent LATENCY_SAMPLES latencies are kept, and
+        ``latency_ms.count`` reports that window, not the number served."""
+        monkeypatch.setattr(server_mod, "LATENCY_SAMPLES", 4)
+
+        async def run():
+            async with QueryServer(QueryEngine(oracle), window_s=0.0) as server:
+                cli = await AsyncClient.connect(server.host, server.port)
+                for v in range(10):
+                    await cli.query(0, v)
+                stats = await cli.stats()
+                stored = len(server.latencies_s)
+                server.reset_stats()
+                kept_cap = server.latencies_s.maxlen
+                await cli.close()
+                return stored, stats, kept_cap
+
+        stored, stats, kept_cap = asyncio.run(run())
+        assert stats["served"] == 10
+        assert stored == 4
+        assert stats["latency_ms"]["count"] == 4
+        assert kept_cap == 4  # reset_stats keeps the bounded window
 
     def test_malformed_lines_get_line_numbered_errors(self, oracle):
         """Bad JSON, bad types, bad ranges, unknown ops: every one gets
