@@ -13,7 +13,7 @@ Protocol (see EXPERIMENTS.md):
    p50/p95/p99/mean latency from *scheduled arrival* to reply, and the
    micro-batch size histogram.
 3. **Micro-batch vs naive duel** — the same offered load replayed
-   against a ``QueryServer(engine, max_batch=1, window_s=0)`` baseline:
+   against a ``QueryServer(engine, max_batch=1)`` baseline:
    every request is its own one-pair ``engine.query_many`` solve, with
    no coalescing and no cross-request dedup.  The acceptance gate:
    micro-batched achieved throughput >= 5x naive at the same offered
@@ -81,7 +81,6 @@ FULL_CONFIG = {
     "uniform_mix": 0.02,
     "clients": 8,
     "max_batch": 2_048,
-    "window_ms": 2.0,
     "max_pending": 200_000,  # sweep measures latency collapse, not rejection
     "rates": [2_000, 6_000, 12_000],
     "queries_per_rate": 6_000,
@@ -102,7 +101,6 @@ SMOKE_CONFIG = {
     "uniform_mix": 0.1,
     "clients": 4,
     "max_batch": 128,
-    "window_ms": 2.0,
     "max_pending": 50_000,
     "rates": [1_500],
     "queries_per_rate": 900,
@@ -199,7 +197,7 @@ async def _measure_point(
 ) -> dict:
     """One sweep point: fresh engine + server, warmup, measured open loop.
 
-    ``naive`` serves with ``max_batch=1, window_s=0`` (one solve per
+    ``naive`` serves with ``max_batch=1`` (one solve per
     request) — the duel baseline.
     """
     warm = cfg["warmup"]
@@ -207,7 +205,6 @@ async def _measure_point(
     server = QueryServer(
         engine,
         max_batch=1 if naive else cfg["max_batch"],
-        window_s=0.0 if naive else cfg["window_ms"] / 1e3,
         max_pending=cfg["max_pending"],
     )
     async with server:
@@ -244,7 +241,6 @@ async def _drain_check(store: ArtifactStore, key: str, cfg: dict) -> dict:
     server = QueryServer(
         engine,
         max_batch=cfg["max_batch"],
-        window_s=cfg["window_ms"] / 1e3,
         max_pending=cfg["max_pending"],
     )
     await server.start()

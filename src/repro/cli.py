@@ -667,20 +667,16 @@ def _cmd_serve(args) -> int:
         except ValueError as exc:
             engine.close()
             raise SystemExit(str(exc)) from exc
-        if args.window_ms < 0:
-            engine.close()
-            raise SystemExit(f"--window-ms must be >= 0, got {args.window_ms}")
         stats = run_server(
             engine,
             host=host,
             port=port,
             max_batch=args.max_batch,
-            window_s=args.window_ms / 1e3,
             max_pending=args.max_pending,
             announce=lambda h, p: print(
                 f"serving artifact {key} ({status}) on {h}:{p} "
-                f"(micro-batch window {args.window_ms}ms, max batch "
-                f"{args.max_batch}, max pending {args.max_pending}); "
+                f"(flush on idle, max batch {args.max_batch}, "
+                f"max pending {args.max_pending}); "
                 f"SIGINT/SIGTERM drains",
                 file=sys.stderr,
                 flush=True,
@@ -1086,13 +1082,9 @@ def make_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=256,
-        help="flush the micro-batch window at this many coalesced requests",
-    )
-    sp.add_argument(
-        "--window-ms",
-        type=float,
-        default=2.0,
-        help="micro-batch window deadline in milliseconds (solver-idle case)",
+        help="largest batch one solve takes: a request reaching an idle "
+        "server is solved at once, and those queued during a solve share "
+        "the next batch, up to this many",
     )
     sp.add_argument(
         "--max-pending",

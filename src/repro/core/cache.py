@@ -100,6 +100,11 @@ class LRURowCache:
         }
 
 
+#: Batches up to this many pairs skip the grouped gather in
+#: :meth:`CachedRows.answer`.
+_SMALL_BATCH = 32
+
+
 class CachedRows:
     """Distance rows for sources ``0..n-1``: solved on a miss, kept in an LRU.
 
@@ -146,27 +151,20 @@ class CachedRows:
             raise ValueError(f"vertex {v} out of range")
         return float(self.row(u)[v])
 
-    def answer(self, pairs) -> np.ndarray:
-        """Distances for an ``(r, 2)`` pair array, grouped by source.
+    def _rows(self, sources: list[int]) -> dict:
+        """The rows of distinct ascending ``sources``, keyed by source.
 
-        Rows already cached are gathered, the distinct *missing* sources go
-        to one ``solve_rows`` call, and every fresh row is cached.  Two
-        invariants live here exactly once: local references are held for
+        Rows already cached are gathered, the *missing* sources go to one
+        ``solve_rows`` call, and every fresh row is cached.  Two invariants
+        live here exactly once: the returned dict holds a reference to
         every row the call touches (LRU eviction triggered by the fresh
         rows must not drop one mid-call), and cached rows are *copies*,
         never views into the solver's dense batch buffer (a view would pin
         the whole block for as long as the row survives in the cache).
         """
-        pairs = np.asarray(pairs, dtype=np.int64)
-        if pairs.size == 0:
-            return np.zeros(0)
-        pairs = pairs.reshape(-1, 2)
-        if pairs.min() < 0 or pairs.max() >= self.n:
-            raise ValueError("vertex out of range")
-        sources, inv = np.unique(pairs[:, 0], return_inverse=True)
         row_map = {}
         missing = []
-        for s in sources.tolist():
+        for s in sources:
             row = self.cache.get(s)
             if row is None:
                 missing.append(s)
@@ -178,6 +176,28 @@ class CachedRows:
                 row = rows[j].copy()
                 row_map[s] = row
                 self.cache.put(s, row)
+        return row_map
+
+    def answer(self, pairs) -> np.ndarray:
+        """Distances for an ``(r, 2)`` pair array, grouped by source.
+
+        Every distinct source is looked up once, in ascending order (see
+        :meth:`_rows`).  Up to :data:`_SMALL_BATCH` pairs are then read
+        one by one; a larger batch gathers each source's targets at once,
+        which costs more fixed array calls than a small batch saves.
+        """
+        pairs = np.asarray(pairs, dtype=np.int64)
+        if pairs.size == 0:
+            return np.zeros(0)
+        pairs = pairs.reshape(-1, 2)
+        if pairs.min() < 0 or pairs.max() >= self.n:
+            raise ValueError("vertex out of range")
+        if pairs.shape[0] <= _SMALL_BATCH:
+            us, vs = pairs[:, 0].tolist(), pairs[:, 1].tolist()
+            row_map = self._rows(sorted(set(us)))
+            return np.array([row_map[u][v] for u, v in zip(us, vs)], dtype=np.float64)
+        sources, inv = np.unique(pairs[:, 0], return_inverse=True)
+        row_map = self._rows(sources.tolist())
         out = np.empty(pairs.shape[0])
         order = np.argsort(inv, kind="stable")
         bounds = np.searchsorted(inv[order], np.arange(sources.size + 1))

@@ -59,6 +59,8 @@ __all__ = [
 # Matches the truncation slack of the original per-center Dijkstra: a vertex
 # is relaxed only through distances strictly below d(v, A_{i+1}) - _EPS.
 _EPS = 1e-15
+#: Batches up to this many pairs take the per-pair walk in ``query_many``.
+_SCALAR_WALK_MAX = 16
 
 
 def _level_sources(levels: list[np.ndarray], i: int, n: int) -> np.ndarray:
@@ -390,14 +392,6 @@ class DistanceSketch:
         """The ``O(k n^{1+1/k})`` guarantee with an explicit constant."""
         return constant * self.k * float(self.g.n) ** (1.0 + 1.0 / self.k)
 
-    def _bunch_lookup(self, v: int, w: int) -> float:
-        """``d(v, w)`` if ``w ∈ B(v)`` else ``nan`` (one searchsorted)."""
-        key = v * self.g.n + w
-        pos = int(np.searchsorted(self._bunch_keys, key))
-        if pos < self._bunch_keys.size and self._bunch_keys[pos] == key:
-            return float(self.bunch_dists[pos])
-        return math.nan
-
     def query(self, u: int, v: int) -> float:
         """Approximate ``d(u, v)`` with stretch at most ``2k - 1``.
 
@@ -406,28 +400,38 @@ class DistanceSketch:
         n = self.g.n
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError("vertex out of range")
+        return self._walk(int(u), int(v))
+
+    def _walk(self, u: int, v: int) -> float:
+        """The pivot walk of one in-range pair: one ``searchsorted`` of
+        the bunch keys per round."""
         if u == v:
             return 0.0
-        w = u
-        i = 0
-        du_w = 0.0
-        while True:
-            hit = self._bunch_lookup(v, w)
-            if not math.isnan(hit):
-                return du_w + hit
-            i += 1
-            if i >= self.k:
-                return math.inf
-            u, v = v, u
-            w = int(self.pivot[i][u])
-            du_w = float(self.pivot_dist[i][u])
-            if w < 0 or not math.isfinite(du_w):
-                return math.inf
+        keys, n = self._bunch_keys, self.g.n
+        w, du_w = u, 0.0
+        for i in range(self.k):
+            if i:
+                u, v = v, u
+                w = int(self.pivot[i, u])
+                du_w = float(self.pivot_dist[i, u])
+                if w < 0 or not math.isfinite(du_w):
+                    return math.inf
+            key = v * n + w
+            pos = int(keys.searchsorted(key))
+            if pos < keys.size and keys[pos] == key:
+                return du_w + float(self.bunch_dists[pos])
+        return math.inf
 
     def query_many(self, pairs) -> np.ndarray:
         """Vectorized :meth:`query`: the pivot walk advances for *all* pairs
         simultaneously, with membership tests batched through one
-        ``searchsorted`` against the global bunch-key array per round."""
+        ``searchsorted`` against the global bunch-key array per round.
+
+        Up to :data:`_SCALAR_WALK_MAX` pairs walk one at a time instead: a
+        round of the vectorized walk costs a dozen array calls whatever
+        the batch size, which a small batch never earns back.  Both walks
+        give the same floats.
+        """
         pairs = np.asarray(pairs, dtype=np.int64)
         if pairs.size == 0:
             return np.zeros(0)
@@ -438,6 +442,8 @@ class DistanceSketch:
             min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n
         ):
             raise ValueError("vertex out of range")
+        if u.size <= _SCALAR_WALK_MAX:
+            return np.array([self._walk(a, b) for a, b in zip(u.tolist(), v.tolist())])
         out = np.full(u.shape, np.inf)
         active = u != v
         out[~active] = 0.0

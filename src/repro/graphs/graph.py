@@ -447,8 +447,8 @@ class WeightedGraph:
         The vertex set is unchanged (all ``n`` vertices), which is exactly
         what a spanner is: a spanning subgraph.
         """
-        ids = np.asarray(sorted(set(int(i) for i in np.asarray(edge_ids).ravel())), dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.m):
+        ids = np.unique(np.asarray(edge_ids).ravel().astype(np.int64, copy=False))
+        if ids.size and (ids[0] < 0 or ids[-1] >= self.m):
             raise ValueError("edge id out of range")
         return WeightedGraph(
             self.n, self._u[ids], self._v[ids], self._w[ids], validate=False

@@ -2,16 +2,16 @@
 
 ``repro serve --socket HOST:PORT`` runs :class:`QueryServer`: an asyncio
 socket server speaking a newline-delimited JSON protocol.  The perf
-mechanism is a **micro-batching window**: concurrent in-flight ``query``
-requests are coalesced — flushed when ``max_batch`` requests are pending
-or when the ``window_s`` deadline expires, whichever comes first — into a
-*single* :meth:`QueryEngine.query_many` call, so the batched
-``batched_sssp`` planning, per-source dedup, and row caching amortize
-across clients instead of degrading to one Dijkstra per request.  While a
-batch is being solved (in a dedicated solver thread, so the event loop
-keeps accepting), new arrivals accumulate; the flush loop picks them up
-the moment the solve returns — the window deadline only matters when the
-solver is idle, which is the classic adaptive micro-batching discipline.
+mechanism is **flush-on-idle micro-batching**: a ``query`` that reaches
+an idle solver is solved at once, and requests that arrive while a solve
+is running (in a dedicated solver thread, so the event loop keeps
+accepting) queue up and share the next batch, capped at ``max_batch``.
+Each batch is a *single* :meth:`QueryEngine.query_many` call, so the
+batched ``batched_sssp`` planning, per-source dedup, and row caching
+amortize across clients instead of degrading to one Dijkstra per
+request.  Batch size follows the solver's busy time, not a timer: an
+idle server adds no wait, and a loaded one coalesces whatever queued
+during the previous solve (the adaptive batching discipline).
 
 Around the batcher:
 
@@ -21,8 +21,8 @@ Around the batcher:
 * **Latency SLOs** — every request's queue+solve+reply latency is
   captured, and the most recent :data:`LATENCY_SAMPLES` are kept; the
   ``stats`` protocol verb (and :meth:`QueryServer.stats`) reports
-  p50/p95/p99/mean/max milliseconds over that window (its ``count`` is
-  the window's size, not the number served), qps, and the batch-size
+  p50/p95/p99/mean/max milliseconds over those samples (its ``count`` is
+  how many are kept, not the number served), qps, and the batch-size
   histogram, alongside :meth:`QueryEngine.stats` as the single source of
   truth for rows/batch accounting.
 * **Contained solve failures** — a ``query_many`` that raises fails
@@ -51,8 +51,9 @@ The optional ``"backend"`` field pins one query to a fixed answer path
 (``exact``/``oracle``/``sketch``/``tiered``) when the engine serves a
 bundle artifact; omitting it leaves routing to the engine's planner.
 Requests naming a backend the engine does not serve are rejected with an
-error reply.  The micro-batcher groups each flushed window by backend —
-one ``query_many`` per group — and the ``stats`` verb reports
+error reply.  The micro-batcher groups each flushed batch by backend —
+one ``query_many`` per group, all of a batch's groups in one hand-off to
+the solver thread — and the ``stats`` verb reports
 per-backend served counters (``backend_served``) next to the engine's
 planner routing stats.
 
@@ -70,11 +71,11 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import queue
+import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -132,7 +133,7 @@ def parse_hostport(text: str, *, default_host: str = "127.0.0.1") -> tuple[str, 
 
 @dataclass
 class _Request:
-    """One admitted query, waiting in the micro-batch window."""
+    """One admitted query, waiting for the next batch."""
 
     u: int
     v: int
@@ -146,8 +147,16 @@ def _encode(payload: dict) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode() + b"\n"
 
 
+def _settle(fut: asyncio.Future, result) -> None:
+    if not fut.cancelled():  # its flush was cancelled mid-solve
+        fut.set_result(result)
+
+
 class QueryServer:
     """Asyncio socket server micro-batching queries into ``query_many``.
+
+    A request that reaches an idle solver starts a flush at once;
+    requests admitted while a solve runs share the next batch.
 
     Parameters
     ----------
@@ -159,12 +168,8 @@ class QueryServer:
         Bind address; ``port=0`` picks a free port (read ``self.port``
         after :meth:`start`).
     max_batch:
-        Flush immediately once this many requests are pending; a larger
-        backlog is split into consecutive ``max_batch``-sized solves.
-    window_s:
-        Deadline for a partial batch when the solver is idle: the first
-        request entering an empty window starts the timer, and whatever
-        has coalesced when it fires is flushed (even a single request).
+        Largest batch one solve takes; a larger backlog is split into
+        consecutive ``max_batch``-sized solves.
     max_pending:
         Admission bound on queued requests; beyond it queries are
         rejected with ``{"error": "overloaded"}``.
@@ -177,31 +182,28 @@ class QueryServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = 256,
-        window_s: float = 0.002,
         max_pending: int = 8192,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if window_s < 0:
-            raise ValueError("window_s must be >= 0")
         self.engine = engine
         self.host = host
         self.port = port
         self.max_batch = int(max_batch)
-        self.window_s = float(window_s)
         self.max_pending = int(max_pending)
 
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         # One solver thread: the engine is touched by exactly one thread,
         # and the event loop stays free to admit + coalesce the next
-        # window while the current batch solves.
-        self._exec = ThreadPoolExecutor(max_workers=1, thread_name_prefix="qsolve")
+        # batch while the current one solves.  A plain queue, not an
+        # executor: its futures and locks doubled the cost per batch.
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._solver: threading.Thread | None = None
         self._pending: deque[_Request] = deque()
         self._flush_task: asyncio.Task | None = None
-        self._timer: asyncio.TimerHandle | None = None
         self._drain_tasks: set[asyncio.Task] = set()
         self._handlers: set[asyncio.Task] = set()
         self._conns: set[asyncio.StreamWriter] = set()
@@ -228,6 +230,8 @@ class QueryServer:
         self._server = await asyncio.start_server(self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._t0 = time.perf_counter()
+        self._solver = threading.Thread(target=self._solver_main, name="qsolve", daemon=True)
+        self._solver.start()
 
     async def aclose(self) -> None:
         """Graceful drain: finish in-flight batches, then release everything.
@@ -243,11 +247,8 @@ class QueryServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if self._pending and (self._flush_task is None or self._flush_task.done()):
-            self._flush_task = asyncio.ensure_future(self._flush())
+        if self._pending:
+            self._arm()
         if self._flush_task is not None:
             await self._flush_task
         if self._drain_tasks:
@@ -259,7 +260,9 @@ class QueryServer:
             # Closing the transports EOFs the read loops; wait for the
             # handler tasks so loop shutdown never cancels them mid-read.
             await asyncio.gather(*self._handlers, return_exceptions=True)
-        self._exec.shutdown(wait=True)
+        if self._solver is not None:
+            self._jobs.put(None)
+            self._solver.join()
         self.engine.close()
         self._closed = True
 
@@ -286,12 +289,11 @@ class QueryServer:
         """Server SLO numbers + the engine's accounting (JSON-ready).
 
         ``latency_ms`` summarizes the most recent :data:`LATENCY_SAMPLES`
-        requests; its ``count`` is the number of samples in that window.
+        requests; its ``count`` is the number of samples kept.
         """
         uptime = time.perf_counter() - self._t0
         return {
             "max_batch": self.max_batch,
-            "window_ms": round(self.window_s * 1e3, 3),
             "max_pending": self.max_pending,
             "served": self.served,
             "rejected": self.rejected,
@@ -410,36 +412,22 @@ class QueryServer:
             pass
 
     # ------------------------------------------------------------------
-    # The micro-batch window
+    # Flush-on-idle batching
     # ------------------------------------------------------------------
     def _arm(self) -> None:
-        """Start a flush (batch full) or the window timer (first arrival)."""
-        if self._flush_task is not None and not self._flush_task.done():
-            return  # the running flush loop picks pending up when it returns
-        if len(self._pending) >= self.max_batch:
-            if self._timer is not None:
-                self._timer.cancel()
-                self._timer = None
-            self._flush_task = asyncio.ensure_future(self._flush())
-        elif self._timer is None:
-            self._timer = self._loop.call_later(self.window_s, self._window_expired)
-
-    def _window_expired(self) -> None:
-        self._timer = None
-        # The window can legitimately expire over an empty queue (a
-        # max-batch flush already consumed it): a no-op, not an error.
-        if self._pending and (self._flush_task is None or self._flush_task.done()):
+        """Start a flush unless one is running (it picks pending up)."""
+        if self._flush_task is None or self._flush_task.done():
             self._flush_task = asyncio.ensure_future(self._flush())
 
     async def _flush(self) -> None:
         """Drain the queue in ``max_batch``-sized solves.
 
-        Requests arriving while a solve is in the executor are picked up
-        by the next loop iteration immediately — under load the window
-        deadline never waits, batches just track the backlog.  Windows
+        Requests arriving while the solver thread works are picked up
+        by the next loop iteration, so batches track the backlog.  Batches
         mixing pinned backends split into one ``query_many`` per backend
         (planner-routed requests form their own group), so a pin never
-        changes another client's answer path.
+        changes another client's answer path; the groups of one batch go
+        to the solver thread together.
         """
         while self._pending:
             take = min(self.max_batch, len(self._pending))
@@ -447,24 +435,35 @@ class QueryServer:
             groups: dict[str | None, list[_Request]] = {}
             for req in batch:
                 groups.setdefault(req.backend, []).append(req)
+            done = self._loop.create_future()
+            self._jobs.put((groups, done))
+            results = await done
+            for (backend, group), answers in zip(groups.items(), results):
+                if isinstance(answers, BaseException):
+                    self._fail(group, answers)
+                else:
+                    self._deliver(group, answers, backend=backend)
+        self._flush_task = None
+
+    def _solver_main(self) -> None:
+        """The solver thread: for each queued batch, one ``query_many`` per
+        backend group.  A group whose solve raises gets the exception in
+        place of its answers, and every batch is settled."""
+        while (job := self._jobs.get()) is not None:
+            groups, done = job
+            results = []
             for backend, group in groups.items():
                 pairs = np.array([(r.u, r.v) for r in group], dtype=np.int64)
                 # Pass the backend kwarg only when pinned, so engine
                 # wrappers unaware of multi-backend routing keep working.
-                call = (
-                    partial(self.engine.query_many, pairs)
-                    if backend is None
-                    else partial(self.engine.query_many, pairs, backend=backend)
-                )
+                route = {} if backend is None else {"backend": backend}
                 try:
-                    answers = await self._loop.run_in_executor(self._exec, call)
-                except Exception as exc:
-                    self._fail(group, exc)
-                    continue
-                self._deliver(group, answers, backend=backend)
-        self._flush_task = None
+                    results.append(self.engine.query_many(pairs, **route))
+                except BaseException as exc:
+                    results.append(exc)
+            self._loop.call_soon_threadsafe(_settle, done, results)
 
-    def _fail(self, group: list[_Request], exc: Exception) -> None:
+    def _fail(self, group: list[_Request], exc: BaseException) -> None:
         """A group's solve raised: every request in it gets an error reply,
         and the flush loop carries on with the remaining groups."""
         self.solve_errors += 1
@@ -491,16 +490,19 @@ class QueryServer:
         self._write_replies(replies)
 
     def _write_replies(self, replies) -> None:
-        """Write ``(writer, line)`` replies, one write + drain per writer."""
+        """Write ``(writer, line)`` replies, one write per writer (and a
+        drain where the write left bytes buffered)."""
         by_writer: dict[asyncio.StreamWriter, list[bytes]] = {}
         for writer, line in replies:
             by_writer.setdefault(writer, []).append(line)
         for writer, lines in by_writer.items():
             if not writer.is_closing():
                 writer.write(b"".join(lines))
-                task = self._loop.create_task(self._drain_writer(writer))
-                self._drain_tasks.add(task)
-                task.add_done_callback(self._drain_tasks.discard)
+                # Only bytes the socket could not take at once need a drain.
+                if writer.transport.get_write_buffer_size():
+                    task = self._loop.create_task(self._drain_writer(writer))
+                    self._drain_tasks.add(task)
+                    task.add_done_callback(self._drain_tasks.discard)
 
 
 class AsyncClient:
@@ -599,7 +601,6 @@ def run_server(
     host: str,
     port: int,
     max_batch: int = 256,
-    window_s: float = 0.002,
     max_pending: int = 8192,
     announce=None,
 ) -> dict:
@@ -616,7 +617,6 @@ def run_server(
             host=host,
             port=port,
             max_batch=max_batch,
-            window_s=window_s,
             max_pending=max_pending,
         )
         await server.start()

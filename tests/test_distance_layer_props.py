@@ -94,6 +94,23 @@ class TestBunchBuilders:
             scalar = np.array([sk.query(int(a), int(b)) for a, b in pairs])
             assert np.array_equal(batch, scalar)
 
+    def test_small_batches_match_one_large_batch(self):
+        """Batches at or under the per-pair walk's cut-off answer exactly
+        as the vectorized walk does on the same pairs."""
+        from repro.distances import sketches
+
+        for seed in range(3):  # seed 0 is disconnected
+            g = _random_graph(seed)
+            sk = DistanceSketch(g, 3, rng=seed)
+            rng = np.random.default_rng(seed + 200)
+            pairs = rng.integers(0, g.n, size=(300, 2))
+            pairs[::9, 1] = pairs[::9, 0]  # self pairs
+            whole = sk.query_many(pairs)
+            assert pairs.shape[0] > sketches._SCALAR_WALK_MAX
+            for size in (1, 2, sketches._SCALAR_WALK_MAX, sketches._SCALAR_WALK_MAX + 1):
+                parts = [sk.query_many(pairs[lo : lo + size]) for lo in range(0, len(pairs), size)]
+                assert np.array_equal(np.concatenate(parts), whole), size
+
     def test_disconnected_bunches_stay_local(self):
         g = _random_graph(3)  # seed % 3 == 0: disconnected by construction
         sk = DistanceSketch(g, 2, rng=3)

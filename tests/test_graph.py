@@ -152,6 +152,36 @@ class TestConversions:
         h = small_weighted.subgraph_from_edge_ids([1, 1, 1])
         assert h.m == 1
 
+    @pytest.mark.parametrize(
+        "make_ids",
+        [
+            lambda m: [2, 0, 2, 1, 0, 0],  # duplicates
+            lambda m: [m - 1, 0, m // 2, 1],  # unsorted
+            lambda m: np.array([3, 1, 3, m - 1], dtype=np.int32),
+            lambda m: np.arange(m, dtype=np.int32).reshape(-1, 1)[::-1],
+            lambda m: [],
+            lambda m: np.array([], dtype=np.int64),
+            lambda m: [0, -1],
+            lambda m: [m],
+            lambda m: np.array([1, m + 5], dtype=np.int32),
+        ],
+    )
+    def test_subgraph_matches_the_set_based_reference(self, er_weighted, make_ids):
+        """The array path gives the same subgraph, or the same ValueError,
+        as collecting the ids through a sorted Python set."""
+        g = er_weighted
+        raw = make_ids(g.m)
+        ref = sorted(set(int(i) for i in np.asarray(raw).ravel()))
+        if ref and (ref[0] < 0 or ref[-1] >= g.m):
+            with pytest.raises(ValueError, match="edge id out of range"):
+                g.subgraph_from_edge_ids(raw)
+            return
+        h = g.subgraph_from_edge_ids(raw)
+        assert h.n == g.n
+        assert np.array_equal(h.edges_u, g.edges_u[ref])
+        assert np.array_equal(h.edges_v, g.edges_v[ref])
+        assert np.array_equal(h.edges_w, g.edges_w[ref])
+
     def test_edge_index_map(self, small_weighted):
         idx = small_weighted.edge_index_map()
         for i, (a, b, _) in enumerate(small_weighted.edge_tuples()):

@@ -165,6 +165,30 @@ class TestLRUCachePolicy:
         pairs = rng.integers(0, g.n, size=(500, 2))
         assert np.array_equal(o_small.query_many(pairs), o_big.query_many(pairs))
 
+    def test_small_batch_path_matches_grouped_gather(self, g, monkeypatch):
+        """Pairs read one by one answer and use the cache exactly as the
+        grouped gather does: same floats, same solves, same counters and
+        the same recency order."""
+        from repro.core import cache as cache_mod
+
+        def replay(small_batch):
+            monkeypatch.setattr(cache_mod, "_SMALL_BATCH", small_batch)
+            o = SpannerDistanceOracle(g, k=4, t=2, rng=25, cache_rows=6)
+            solved = []
+            orig = o.rows.solve_rows
+            o.rows.solve_rows = lambda s: solved.append(s.tolist()) or orig(s)
+            rng = np.random.default_rng(3)
+            answers = [
+                o.query_many(rng.integers(0, 12, size=(size, 2)))
+                for size in (1, 3, 5, 8, 2, 7, 4, 6)
+            ]
+            return answers, solved, o.cache_stats, o.rows.cache.keys()
+
+        small = replay(10**6)
+        grouped = replay(0)
+        assert all(np.array_equal(a, b) for a, b in zip(small[0], grouped[0]))
+        assert small[1:] == grouped[1:]
+
     def test_from_spanner_round_trip_guarantee(self, g):
         o = SpannerDistanceOracle(g, k=5, t=2, rng=24)
         o2 = SpannerDistanceOracle.from_spanner(

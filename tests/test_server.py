@@ -1,8 +1,9 @@
 """Tests for the concurrent micro-batching query server (repro.service.server).
 
-Covers the ISSUE 7 acceptance invariants: the micro-batch window's edge
-cases (deadline flush of a single request, empty-window timer no-op,
-max-batch overflow splitting), bounded admission control with explicit
+Covers the flush-on-idle batching contract (a request reaching an idle
+server is solved at once with no timer armed, arrivals during a solve
+share the next batch, max-batch overflow splitting), bounded admission
+control with explicit
 overload rejections, graceful drain leaving /dev/shm clean, bit-identity
 of served answers vs offline ``query_many``, the ``stats`` protocol verb,
 malformed-line hardening on both the socket protocol and the legacy pipe
@@ -48,7 +49,7 @@ def oracle(g):
 
 class SlowEngine:
     """Delegating engine wrapper whose solves block long enough for the
-    event loop to coalesce (or overflow) the next micro-batch window."""
+    event loop to coalesce (or overflow) the next micro-batch."""
 
     def __init__(self, inner, delay: float = 0.05):
         self._inner = inner
@@ -88,6 +89,28 @@ class FailingEngine:
         return getattr(self._inner, name)
 
 
+class _Writer:
+    """Stand-in stream writer: collects reply lines; ``buffered`` is what
+    its transport reports as still waiting to be sent."""
+
+    def __init__(self, buffered: int = 0):
+        self.lines: list[bytes] = []
+        self.buffered = buffered
+        self.transport = self
+
+    def is_closing(self):
+        return False
+
+    def write(self, data: bytes):
+        self.lines.extend(data.splitlines())
+
+    def get_write_buffer_size(self):
+        return self.buffered
+
+    async def drain(self):
+        self.buffered = 0
+
+
 async def _burst(server, payloads):
     """One connection, pipelined sends; returns replies in send order."""
     cli = await AsyncClient.connect(server.host, server.port)
@@ -98,13 +121,41 @@ async def _burst(server, payloads):
 
 
 class TestMicroBatchWindow:
-    def test_deadline_flush_single_request(self, oracle):
-        """One lone request must not wait for max_batch: the window
-        deadline flushes a batch of exactly 1."""
+    def test_admit_at_idle_server_starts_flush_without_a_timer(self, oracle):
+        """The flush starts inside ``_admit`` itself: right after one
+        request reaches an idle server its flush task exists, and no
+        timer was armed to delay it."""
+
+        class _ClosedWriter:  # replies are not under test here
+            def is_closing(self):
+                return True
+
+        async def run():
+            async with QueryServer(QueryEngine(oracle)) as server:
+                loop = asyncio.get_running_loop()
+                timers = []
+                loop.call_later = lambda *args, **kw: timers.append(args)
+                loop.call_at = lambda *args, **kw: timers.append(args)
+                try:
+                    err = server._admit({"u": 0, "v": 5}, 1, _ClosedWriter())
+                    flush = server._flush_task
+                finally:
+                    del loop.call_later, loop.call_at
+                assert err is None
+                assert flush is not None and not flush.done()
+                assert timers == []
+                await flush
+                return dict(server.batch_size_hist), server.served
+
+        assert asyncio.run(run()) == ({1: 1}, 1)
+
+    def test_idle_server_answers_a_lone_request_as_its_own_batch(self, oracle):
+        """One lone request never waits for company: it is answered as a
+        batch of exactly 1, however large max_batch is."""
 
         async def run():
             engine = QueryEngine(oracle)
-            async with QueryServer(engine, max_batch=256, window_s=0.005) as server:
+            async with QueryServer(engine, max_batch=256) as server:
                 cli = await AsyncClient.connect(server.host, server.port)
                 d = await cli.query(0, 5)
                 await cli.close()
@@ -114,19 +165,26 @@ class TestMicroBatchWindow:
         assert d == pytest.approx(oracle.query(0, 5))
         assert hist == {1: 1}
 
-    def test_empty_window_timer_is_noop(self, oracle):
-        """The deadline can legitimately fire over an empty queue (a
-        max-batch flush already consumed it): no flush, no crash."""
+    def test_arrivals_during_a_solve_share_the_next_batch(self, oracle):
+        """Requests admitted while a solve runs queue up and are solved
+        together as the next batch once it returns."""
 
         async def run():
-            engine = QueryEngine(oracle)
-            async with QueryServer(engine, window_s=0.001) as server:
-                server._window_expired()
-                assert server._flush_task is None
-                await asyncio.sleep(0.005)
-                return server.batches_flushed
+            engine = SlowEngine(QueryEngine(oracle), delay=0.1)
+            async with QueryServer(engine, max_batch=256) as server:
+                cli = await AsyncClient.connect(server.host, server.port)
+                first = cli.send({"op": "query", "u": 0, "v": 1})
+                # Wait until the flush has taken the first request.
+                while server._flush_task is None or server._pending:
+                    await asyncio.sleep(0.001)
+                rest = [cli.send({"op": "query", "u": i, "v": 2 * i}) for i in range(1, 6)]
+                replies = [(await f)[0] for f in [first, *rest]]
+                await cli.close()
+                return replies, engine.batch_sizes
 
-        assert asyncio.run(run()) == 0
+        replies, batch_sizes = asyncio.run(asyncio.wait_for(run(), timeout=10))
+        assert all("d" in r for r in replies)
+        assert batch_sizes == [1, 5]
 
     def test_max_batch_overflow_splits(self, oracle):
         """A backlog larger than max_batch is split into consecutive
@@ -135,7 +193,7 @@ class TestMicroBatchWindow:
 
         async def run():
             engine = SlowEngine(QueryEngine(oracle), delay=0.03)
-            async with QueryServer(engine, max_batch=max_batch, window_s=0.001) as server:
+            async with QueryServer(engine, max_batch=max_batch) as server:
                 cli = await AsyncClient.connect(server.host, server.port)
                 first = cli.send({"op": "query", "u": 0, "v": 1})
                 await asyncio.sleep(0.01)  # first solve occupies the thread
@@ -167,7 +225,7 @@ class TestMicroBatchWindow:
         async def run():
             engine = SlowEngine(QueryEngine(oracle), delay=0.08)
             async with QueryServer(
-                engine, max_batch=2, window_s=0.001, max_pending=max_pending
+                engine, max_batch=2, max_pending=max_pending
             ) as server:
                 cli = await AsyncClient.connect(server.host, server.port)
                 first = cli.send({"op": "query", "u": 0, "v": 1})
@@ -196,7 +254,7 @@ class TestMicroBatchWindow:
 
         async def run():
             engine = QueryEngine(oracle, cache_rows=16)
-            async with QueryServer(engine, max_batch=32, window_s=0.002) as server:
+            async with QueryServer(engine, max_batch=32) as server:
                 replies = await _burst(
                     server,
                     [{"op": "query", "u": int(u), "v": int(v)} for u, v in pairs],
@@ -211,7 +269,7 @@ class TestMicroBatchWindow:
 
         async def run():
             engine = QueryEngine(WeightedGraph.from_edges(4, []))
-            async with QueryServer(engine, window_s=0.001) as server:
+            async with QueryServer(engine) as server:
                 (reply,) = await _burst(server, [{"op": "query", "u": 0, "v": 3}])
                 return reply
 
@@ -222,7 +280,7 @@ class TestProtocol:
     def test_stats_and_ping_verbs(self, oracle):
         async def run():
             engine = QueryEngine(oracle)
-            async with QueryServer(engine, window_s=0.001) as server:
+            async with QueryServer(engine) as server:
                 cli = await AsyncClient.connect(server.host, server.port)
                 await cli.query(0, 5)
                 pong = await cli.request({"op": "ping"})
@@ -245,7 +303,7 @@ class TestProtocol:
         monkeypatch.setattr(server_mod, "LATENCY_SAMPLES", 4)
 
         async def run():
-            async with QueryServer(QueryEngine(oracle), window_s=0.0) as server:
+            async with QueryServer(QueryEngine(oracle)) as server:
                 cli = await AsyncClient.connect(server.host, server.port)
                 for v in range(10):
                     await cli.query(0, v)
@@ -268,7 +326,7 @@ class TestProtocol:
 
         async def run():
             engine = QueryEngine(oracle)
-            async with QueryServer(engine, window_s=0.001) as server:
+            async with QueryServer(engine) as server:
                 cli = await AsyncClient.connect(server.host, server.port)
                 cli.send_raw(b"this is not json\n")
                 cli.send_raw(b'[1, 2, 3]\n')
@@ -324,14 +382,44 @@ class TestProtocol:
         assert out["p50_ms"] == pytest.approx(2.0)
         assert out["max_ms"] == pytest.approx(3.0)
 
+    def test_drain_task_only_for_buffered_replies(self, oracle):
+        """A reply the socket took whole needs no drain task; one that
+        left bytes buffered gets one."""
+
+        async def run():
+            async with QueryServer(QueryEngine(oracle)) as server:
+                sent, stuck = _Writer(), _Writer(buffered=64)
+                server._write_replies([(sent, b'{"id": 0}\n'), (stuck, b'{"id": 1}\n')])
+                return len(server._drain_tasks), sent, stuck
+
+        drains, sent, stuck = asyncio.run(run())
+        assert drains == 1
+        assert sent.lines == [b'{"id": 0}'] and stuck.lines == [b'{"id": 1}']
+        assert stuck.buffered == 0  # closing the server awaited the drain
+
+    def test_solver_thread_runs_from_start_to_close(self, oracle):
+        """Constructing a server starts no thread; ``start`` starts the
+        solver thread and closing the server ends it."""
+        server = QueryServer(QueryEngine(oracle))
+        assert server._solver is None
+
+        async def run():
+            async with server:
+                assert server._solver.is_alive()
+                cli = await AsyncClient.connect(server.host, server.port)
+                d = await cli.query(0, 5)
+                await cli.close()
+                return d
+
+        assert asyncio.run(run()) == oracle.query(0, 5)
+        assert not server._solver.is_alive()
+
     def test_constructor_validation(self, oracle):
         engine = QueryEngine(oracle)
         with pytest.raises(ValueError):
             QueryServer(engine, max_batch=0)
         with pytest.raises(ValueError):
             QueryServer(engine, max_pending=0)
-        with pytest.raises(ValueError):
-            QueryServer(engine, window_s=-1.0)
 
 
 class TestDrain:
@@ -347,7 +435,7 @@ class TestDrain:
 
         async def run():
             engine = QueryEngine.from_store(store, key, cache_rows=32, shards=2)
-            server = QueryServer(engine, max_batch=16, window_s=0.002)
+            server = QueryServer(engine, max_batch=16)
             await server.start()
             cli = await AsyncClient.connect(server.host, server.port)
             futs = [cli.send({"op": "query", "u": i % 180, "v": (i * 3) % 180}) for i in range(64)]
@@ -425,7 +513,7 @@ class TestSocketCLI:
                 sys.executable, "-m", "repro", "serve",
                 "--store", str(tmp_path / "store"), "--build",
                 "--graph", "er:64:0.1", "--algorithm", "general", "-k", "3",
-                "--seed", "0", "--socket", "127.0.0.1:0", "--window-ms", "1",
+                "--seed", "0", "--socket", "127.0.0.1:0",
             ],
             env=env,
             stderr=subprocess.PIPE,
@@ -495,7 +583,7 @@ class TestBackendRouting:
                 del p["backend"]
 
         async def run():
-            async with QueryServer(engine, window_s=0.02, max_batch=64) as server:
+            async with QueryServer(engine, max_batch=64) as server:
                 replies = await _burst(server, payloads)
                 stats = server.stats()
                 return replies, stats
@@ -521,11 +609,43 @@ class TestBackendRouting:
             ])
             assert np.array_equal(got, want), backend
 
+    def test_mixed_backend_batch_is_one_solver_handoff(self, bundle):
+        """A batch mixing backends still makes one ``query_many`` per
+        backend, but all of them in one hand-off to the solver thread:
+        no reply of the batch is written before its last group solves."""
+        writer = _Writer()
+        solves = []
+
+        class Recording:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def query_many(self, pairs, **kwargs):
+                solves.append((kwargs.get("backend"), len(pairs), len(writer.lines)))
+                return self._inner.query_many(pairs, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        async def run():
+            async with QueryServer(Recording(QueryEngine(bundle))) as server:
+                for i, backend in enumerate(["sketch", "exact"] * 4):
+                    msg = {"u": i, "v": 2 * i + 1, "backend": backend}
+                    assert server._admit(msg, i, writer) is None
+                await server._flush_task
+                return server.stats()
+
+        stats = asyncio.run(run())
+        assert solves == [("sketch", 4, 0), ("exact", 4, 0)]
+        assert stats["batch_size_hist"] == {"4": 2}
+        assert stats["backend_served"] == {"sketch": 4, "exact": 4}
+        assert sorted(json.loads(line)["id"] for line in writer.lines) == list(range(8))
+
     def test_unknown_backend_is_rejected(self, bundle):
         engine = QueryEngine(bundle)
 
         async def run():
-            async with QueryServer(engine, window_s=0.005) as server:
+            async with QueryServer(engine) as server:
                 return await _burst(
                     server,
                     [
@@ -545,7 +665,7 @@ class TestBackendRouting:
         engine = QueryEngine(oracle)
 
         async def run():
-            async with QueryServer(engine, window_s=0.005) as server:
+            async with QueryServer(engine) as server:
                 return await _burst(
                     server,
                     [{"op": "query", "u": 0, "v": 1, "backend": "sketch"}],
@@ -563,7 +683,7 @@ class TestSolveFailure:
     def test_failed_solve_replies_and_server_recovers(self, oracle):
         async def run():
             engine = FailingEngine(QueryEngine(oracle))
-            async with QueryServer(engine, window_s=0.001) as server:
+            async with QueryServer(engine) as server:
                 cli = await AsyncClient.connect(server.host, server.port)
                 failed = await asyncio.wait_for(
                     cli.request({"op": "query", "u": 0, "v": 5}), timeout=1.0
@@ -597,7 +717,7 @@ class TestSolveFailure:
 
         async def run():
             engine = FailingEngine(QueryEngine(bundle), backend="sketch")
-            async with QueryServer(engine, window_s=0.02, max_batch=64) as server:
+            async with QueryServer(engine, max_batch=64) as server:
                 replies = await asyncio.wait_for(_burst(server, payloads), timeout=2.0)
                 return replies, server.stats()
 
