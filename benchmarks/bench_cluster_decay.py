@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import EdgeSet, cluster_merging, run_growth_iterations
+from repro.core import EdgeSet, cluster_merging, contract_clusters, run_growth_iterations
 from repro.graphs import quotient_edges
 from common import bench_graph, print_table
 
@@ -53,7 +53,6 @@ def _epochs_to_converge(g, k: int, *, decaying: bool, rng_seed: int, cap: int) -
     rng = np.random.default_rng(rng_seed)
     target = g.n ** (1.0 / k)
     edges = EdgeSet.from_arrays(g.n, g.edges_u, g.edges_v, g.edges_w)
-    num_nodes = g.n
     for epoch in range(1, cap + 1):
         p = (
             float(g.n) ** (-(2.0 ** (epoch - 1)) / k)
@@ -61,21 +60,14 @@ def _epochs_to_converge(g, k: int, *, decaying: bool, rng_seed: int, cap: int) -
             else float(g.n) ** (-1.0 / k)
         )
         out = run_growth_iterations(edges, iterations=1, probability=p, rng=rng, epoch=epoch)
-        labels = out.labels
-        clustered = labels >= 0
-        seeds = np.unique(labels[clustered]) if clustered.any() else np.zeros(0, np.int64)
-        if seeds.size <= target or edges.num_alive == 0:
+        new_id, _, num_clusters = contract_clusters(
+            out.labels, out.radius_bound, np.zeros(edges.num_nodes)
+        )
+        if num_clusters <= target or edges.num_alive == 0:
             return epoch
-        seed_to_new = np.full(num_nodes, -1, dtype=np.int64)
-        seed_to_new[seeds] = np.arange(seeds.size)
-        new_id = np.empty(num_nodes, dtype=np.int64)
-        new_id[clustered] = seed_to_new[labels[clustered]]
-        retired = np.flatnonzero(~clustered)
-        new_id[retired] = seeds.size + np.arange(retired.size)
         eu, ev, ew, eeid = edges.alive_view()
         q = quotient_edges(new_id, eu, ev, ew, eeid)
-        num_nodes = int(seeds.size + retired.size)
-        edges = EdgeSet.from_arrays(num_nodes, q.u, q.v, q.w, q.rep_edge_id)
+        edges = EdgeSet.from_arrays(q.num_nodes, q.u, q.v, q.w, q.rep_edge_id)
     return cap
 
 

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from ..congest.clique import CongestedClique
-from ..core.engine import EdgeSet, run_growth_iterations
+from ..core.engine import EdgeSet, contract_clusters, run_growth_iterations
 from ..core.params import coerce_rng, num_epochs, sampling_probability
 from ..core.results import IterationStats, RoundStats, SpannerResult
 from ..graphs.graph import WeightedGraph
@@ -176,25 +176,11 @@ def spanner_cc(
             )
 
         # --- contraction (pure relabeling; announced in one broadcast) -----
-        clustered = labels >= 0
-        seeds = _live_seeds(labels, num_nodes)
-        seed_to_new = np.full(num_nodes, -1, dtype=np.int64)
-        seed_to_new[seeds] = np.arange(seeds.size)
-        new_id = np.empty(num_nodes, dtype=np.int64)
-        new_id[clustered] = seed_to_new[labels[clustered]]
-        retired = np.flatnonzero(~clustered)
-        new_id[retired] = seeds.size + np.arange(retired.size)
-        new_num = int(seeds.size + retired.size)
-
-        new_radius = np.zeros(new_num)
-        if clustered.any():
-            new_radius[new_id[clustered]] = out.radius_bound[clustered] if stats else 0.0
-        new_radius[new_id[retired]] = sn_radius[retired]
-
+        new_id, sn_radius, _ = contract_clusters(labels, out.radius_bound, sn_radius)
+        new_num = sn_radius.size
         eu, ev, ew, eeid = edges.alive_view()
         q = quotient_edges(new_id, eu, ev, ew, eeid)
         edges = EdgeSet.from_arrays(new_num, q.u, q.v, q.w, q.rep_edge_id)
-        sn_radius = new_radius
         labels = np.arange(new_num, dtype=np.int64)
         num_nodes = new_num
         cc.charge_broadcast_word(name="contraction-ids")

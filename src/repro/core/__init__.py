@@ -21,7 +21,13 @@ from .baswana_sen import baswana_sen
 from .cluster_merging import cluster_merging
 from .contraction import two_phase_contraction
 from .forest import ClusterForest, ClusterTreeStats, forest_stats, reroot
-from .engine import EdgeSet, GrowthOutcome, phase2_edges, run_growth_iterations
+from .engine import (
+    EdgeSet,
+    GrowthOutcome,
+    contract_clusters,
+    phase2_edges,
+    run_growth_iterations,
+)
 from .general_tradeoff import default_t, general_tradeoff
 from .params import (
     TradeoffPoint,
@@ -57,6 +63,7 @@ __all__ = [
     "reroot",
     "GrowthOutcome",
     "run_growth_iterations",
+    "contract_clusters",
     "phase2_edges",
     "IterationStats",
     "MPCRunStats",

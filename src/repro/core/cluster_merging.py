@@ -8,12 +8,16 @@ retires).  Radius triples per epoch, giving stretch ``O(k^{log 3})``
 (Theorem 4.10 proof constant: ``k^{log 3}``), expected size
 ``O(n^{1+1/k} log k)`` (Theorem 4.13), in ``O(log k)`` iterations.
 
-This module is deliberately an *independent implementation* from
-:mod:`repro.core.general_tradeoff` (which realizes the same algorithm as
-its ``t = 1`` case via explicit quotient graphs): here clusters live as
-label arrays over the original vertices and whole clusters change label at
-once.  The test-suite cross-validates the two code paths on shared seeds'
-statistical behaviour and on the formal guarantees.
+Each epoch is one :func:`~repro.core.engine.run_growth_iterations` call
+over the clusters, the engine's ``t = 1`` case.  What stays this module's
+own: clusters live as label arrays over the original vertices (an edge
+view relabelled per epoch, not a quotient graph), so parallel edges between
+two clusters are all kept; Phase 2 runs per *vertex* against the final
+clusters; and the exact cluster trees (Definition 4.2) can be tracked.
+:mod:`repro.core.general_tradeoff` realizes the same algorithm as its
+``t = 1`` case through explicit quotient graphs, and the test-suite
+cross-validates the two on shared seeds' statistical behaviour and on the
+formal guarantees.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import math
 import numpy as np
 
 from ..graphs.graph import WeightedGraph
-from .engine import EdgeSet, phase2_edges
+from .engine import EdgeSet, phase2_edges, run_growth_iterations
 from .params import coerce_rng
 from .results import IterationStats, SpannerResult
 
@@ -75,7 +79,8 @@ def cluster_merging(
     n = g.n
     epochs = max(1, math.ceil(math.log2(k)))
     forest = ClusterForest.singletons(n) if track_forest else None
-    labels = np.arange(n, dtype=np.int64)  # vertex -> cluster seed id
+    seeds = np.arange(n, dtype=np.int64)
+    labels = seeds.copy()  # vertex -> cluster seed id
     cluster_alive = np.ones(n, dtype=bool)  # indexed by seed id
     cluster_radius = np.zeros(n)  # recurrence upper bound per seed
     edges = EdgeSet.from_arrays(n, g.edges_u, g.edges_v, g.edges_w)
@@ -84,142 +89,38 @@ def cluster_merging(
     stats: list[IterationStats] = []
 
     for i in range(1, epochs + 1):
-        p = float(n) ** (-(2.0 ** (i - 1)) / k)
-        alive_ids = np.flatnonzero(cluster_alive)
-        # Only clusters that still own vertices count (merged seeds keep
-        # their flag off via the merge step below).
-        num_clusters = int(alive_ids.size)
-        alive_before = edges.num_alive
+        # One growth iteration over the clusters: the view's endpoints are
+        # cluster labels and it shares ``edges.alive``, so the engine's
+        # discards land on the vertex-level edges.
+        view = EdgeSet(n, labels[edges.u], labels[edges.v], edges.w, edges.eid, edges.alive)
+        out = run_growth_iterations(
+            view,
+            iterations=1,
+            probability=float(n) ** (-(2.0 ** (i - 1)) / k),
+            rng=rng,
+            epoch=i,
+            node_radius=cluster_radius,
+            start_labels=np.where(cluster_alive, seeds, -1),
+        )
+        edges.refresh_alive_count()
+        stats.extend(out.stats)
+        spanner_parts.append(out.spanner_eids)
 
-        sampled = np.zeros(n, dtype=bool)
-        if num_clusters:
-            sampled[alive_ids] = rng.random(num_clusters) < p
-        num_sampled = int(sampled[alive_ids].sum()) if num_clusters else 0
-
-        eu, ev, ew, eeid = edges.alive_view()
-        edge_pos = np.flatnonzero(edges.alive)
-        added: list[np.ndarray] = []
-        merge_target = np.full(n, -1, dtype=np.int64)  # per unsampled seed
-        merge_eid = np.full(n, -1, dtype=np.int64)  # the join edge used
-        died = np.zeros(n, dtype=bool)
-
-        if eu.size:
-            cu, cv = labels[eu], labels[ev]
-            # Directed arcs whose tail cluster is alive and unsampled.
-            tails = np.concatenate([cu, cv])
-            heads = np.concatenate([cv, cu])
-            aw = np.concatenate([ew, ew])
-            aeid = np.concatenate([eeid, eeid])
-            apos = np.concatenate([edge_pos, edge_pos])
-            keep = cluster_alive[tails] & ~sampled[tails]
-            tails, heads, aw, aeid, apos = (
-                tails[keep],
-                heads[keep],
-                aw[keep],
-                aeid[keep],
-                apos[keep],
-            )
-        else:
-            tails = np.zeros(0, dtype=np.int64)
-
-        if tails.size:
-            order = np.lexsort((aeid, aw, heads, tails))
-            t_s, h_s, w_s, e_s, p_s = (
-                tails[order],
-                heads[order],
-                aw[order],
-                aeid[order],
-                apos[order],
-            )
-            lead = np.ones(t_s.size, dtype=bool)
-            lead[1:] = (t_s[1:] != t_s[:-1]) | (h_s[1:] != h_s[:-1])
-            lidx = np.flatnonzero(lead)
-            gt, gh, gw, geid = t_s[lidx], h_s[lidx], w_s[lidx], e_s[lidx]
-            g_sampled = sampled[gh]
-
-            # Closest sampled neighbor per tail cluster.
-            gorder = np.lexsort((geid, gw, ~g_sampled, gt))
-            gt_o = gt[gorder]
-            first = np.ones(gt_o.size, dtype=bool)
-            first[1:] = gt_o[1:] != gt_o[:-1]
-            f_idx = gorder[first]
-            f_tail, f_samp, f_w, f_eid, f_head = (
-                gt[f_idx],
-                g_sampled[f_idx],
-                gw[f_idx],
-                geid[f_idx],
-                gh[f_idx],
-            )
-
-            merge_target[f_tail[f_samp]] = f_head[f_samp]
-            merge_eid[f_tail[f_samp]] = f_eid[f_samp]
-            join_w = np.full(n, np.inf)
-            join_w[f_tail[f_samp]] = f_w[f_samp]
-            died[f_tail[~f_samp]] = True
-
-            g_is_join = np.zeros(gt.size, dtype=bool)
-            g_is_join[f_idx[f_samp]] = True
-            g_connect = (~g_is_join) & (gw < join_w[gt])
-            g_discard = g_connect | g_is_join
-
-            added.append(geid[g_connect])
-            added.append(f_eid[f_samp])
-
-            group_of_arc = np.cumsum(lead) - 1
-            edges.kill(p_s[g_discard[group_of_arc]])
-
-        # Unsampled clusters with no alive incident edges silently retire.
-        idle = cluster_alive & ~sampled & (merge_target < 0) & ~died
-        died |= idle
-
-        # ---- Apply merges --------------------------------------------------
-        merged = np.flatnonzero(merge_target >= 0)
-        if forest is not None and merged.size:
+        if forest is not None:
             # Definition 4.2 / Step 4: hang each absorbed cluster's tree off
             # the join edge, re-rooted at the edge's endpoint inside it.
             # Uses pre-merge labels, so it must run before the relabel.
-            for c in merged:
-                e = int(merge_eid[c])
+            for c in np.flatnonzero((out.labels >= 0) & (out.labels != seeds)):
+                e = int(out.join_eids[c])
                 a, b = int(g.edges_u[e]), int(g.edges_v[e])
                 y, x = (a, b) if labels[a] == c else (b, a)
                 reroot(forest, y)
                 forest.parent[y] = x
                 forest.parent_eid[y] = e
-        if merged.size:
-            # Radius recurrence (Theorem 4.8): absorbing cluster's radius
-            # grows to at most r + 2 r_max_absorbed + 1.
-            grow = np.zeros(n)
-            np.maximum.at(grow, merge_target[merged], 2.0 * cluster_radius[merged] + 1.0)
-            targets = np.flatnonzero(grow > 0)
-            cluster_radius[targets] += grow[targets]
-
-            relabel = np.arange(n, dtype=np.int64)
-            relabel[merged] = merge_target[merged]
-            labels = relabel[labels]
-            cluster_alive[merged] = False
-        cluster_alive[died] = False
-
-        # ---- Step 5: drop intra-cluster edges ------------------------------
-        if edges.num_alive:
-            m = edges.alive
-            intra = labels[edges.u[m]] == labels[edges.v[m]]
-            pos = np.flatnonzero(m)
-            edges.kill(pos[intra])
-
-        live = np.flatnonzero(cluster_alive)
-        stats.append(
-            IterationStats(
-                epoch=i,
-                iteration=1,
-                num_clusters=num_clusters,
-                num_sampled=num_sampled,
-                num_alive_edges=alive_before,
-                num_added=int(sum(a.size for a in added)),
-                sampling_probability=p,
-                max_radius_bound=float(cluster_radius[live].max()) if live.size else 0.0,
-            )
-        )
-        spanner_parts.extend(added)
+        # Merged clusters move wholesale; retired ones keep their label.
+        labels = np.where(out.labels >= 0, out.labels, seeds)[labels]
+        cluster_alive = out.labels == seeds
+        cluster_radius = out.radius_bound
         if edges.num_alive == 0:
             break
 

@@ -27,7 +27,7 @@ import numpy as np
 from ..graphs.graph import WeightedGraph
 from ..graphs.quotient import quotient_edges
 from .baswana_sen import baswana_sen
-from .engine import EdgeSet, run_growth_iterations
+from .engine import EdgeSet, contract_clusters, run_growth_iterations
 from .params import coerce_rng
 from .results import SpannerResult
 
@@ -79,38 +79,24 @@ def two_phase_contraction(g: WeightedGraph, k: int, *, rng=None) -> SpannerResul
     parts = [outcome.spanner_eids]
 
     # ---- Contract: build the super-graph -----------------------------------
-    sn_labels = outcome.labels
-    clustered = sn_labels >= 0
-    seeds = np.unique(sn_labels[clustered]) if clustered.any() else np.zeros(0, np.int64)
-    seed_to_new = np.full(n, -1, dtype=np.int64)
-    seed_to_new[seeds] = np.arange(seeds.size)
-    new_id = np.full(n, -1, dtype=np.int64)
-    new_id[clustered] = seed_to_new[sn_labels[clustered]]
-    # Retired vertices have no alive edges (Lemma 3.2), so the quotient only
-    # needs labels for clustered vertices; map retirees to fresh singletons
-    # to keep the labelling total.
-    retired = np.flatnonzero(~clustered)
-    new_id[retired] = seeds.size + np.arange(retired.size)
-
+    # Retired vertices have no alive edges (Lemma 3.2), so they become
+    # isolated super-nodes of the quotient.
+    new_id, _, num_clusters = contract_clusters(
+        outcome.labels, outcome.radius_bound, np.zeros(n)
+    )
     eu, ev, ew, eeid = edges.alive_view()
     q = quotient_edges(new_id, eu, ev, ew, eeid)
 
     iterations = t1
     if q.m:
         # ---- Phase two: black-box Baswana–Sen on the super-graph ----------
+        # Quotient pairs are unique, ``u < v`` and ``(u, v)``-sorted — the
+        # graph's canonical order — so super-edge ``e`` is quotient pair
+        # ``e`` and its provenance id is one gather.
         t2 = max(2, math.ceil(math.sqrt(k)))
-        super_g = WeightedGraph(q.num_nodes, q.u, q.v, q.w, validate=False)
-        # Positions may shift under WeightedGraph's canonical dedup; map the
-        # super-graph's edges back to provenance ids explicitly.
-        rep_of_pair = {
-            (int(a), int(b)): int(r) for a, b, r in zip(q.u, q.v, q.rep_edge_id)
-        }
+        super_g = WeightedGraph.from_canonical(q.num_nodes, q.u, q.v, q.w)
         sub = baswana_sen(super_g, t2, rng=rng)
-        chosen = [
-            rep_of_pair[(int(super_g.edges_u[e]), int(super_g.edges_v[e]))]
-            for e in sub.edge_ids
-        ]
-        parts.append(np.asarray(chosen, dtype=np.int64))
+        parts.append(q.rep_edge_id[sub.edge_ids])
         iterations += sub.iterations
 
     eids = np.unique(np.concatenate(parts)) if parts else np.zeros(0, dtype=np.int64)
@@ -121,5 +107,5 @@ def two_phase_contraction(g: WeightedGraph, k: int, *, rng=None) -> SpannerResul
         t=t1,
         iterations=iterations,
         stats=outcome.stats,
-        extra={"super_nodes": int(seeds.size), "super_edges": int(q.m)},
+        extra={"super_nodes": num_clusters, "super_edges": int(q.m)},
     )

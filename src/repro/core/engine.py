@@ -17,6 +17,16 @@ arbitrary edge list (original graph or quotient graph — the caller decides)
 and returns the surviving clustering, the edges added to the spanner
 (identified by *caller-provided provenance ids*, so they always refer to the
 original input graph), and per-iteration instrumentation.
+:func:`contract_clusters` is Step C's relabel of that clustering into the
+next quotient's super-nodes.
+
+Callers: Baswana–Sen (one call of ``k - 1`` iterations); the Section 3
+two-phase contraction (one call, then :func:`contract_clusters` and a
+quotient); the Section 5 general tradeoff and the Congested Clique
+construction (``t`` iterations per epoch, each epoch then contracted the
+same way); and Section 4 cluster merging (one iteration per epoch over an
+edge view whose endpoints are cluster labels, so whole clusters act as
+super-nodes without a quotient).
 
 Vectorization strategy (this is the hot loop of the whole library): each
 call ranks its records once by (weight, eid) with one ``np.lexsort``.  An
@@ -40,7 +50,13 @@ import numpy as np
 
 from .results import IterationStats
 
-__all__ = ["EdgeSet", "GrowthOutcome", "run_growth_iterations", "phase2_edges"]
+__all__ = [
+    "EdgeSet",
+    "GrowthOutcome",
+    "run_growth_iterations",
+    "contract_clusters",
+    "phase2_edges",
+]
 
 
 @dataclass
@@ -126,12 +142,17 @@ class GrowthOutcome:
         Per super-node: for nodes in final clusters, the recurrence upper
         bound on the cluster's weighted-stretch radius (same value for all
         members); 0 for retired nodes.
+    join_eids:
+        Per super-node: provenance id of the edge by which it last joined a
+        sampled cluster (always one of ``spanner_eids``), or ``-1`` for
+        nodes that never joined or ended retired.
     """
 
     labels: np.ndarray
     spanner_eids: np.ndarray
     stats: list[IterationStats]
     radius_bound: np.ndarray
+    join_eids: np.ndarray
 
 
 def _arc_groups(
@@ -203,7 +224,8 @@ def run_growth_iterations(
         radius-recurrence instrumentation, never for algorithmic decisions.
     start_labels:
         Initial clustering; defaults to singletons (identity).  Must use
-        seed-node ids as labels (``labels[x] == x`` for seeds).
+        seed-node ids as labels (``labels[x] == x`` for seeds); ``-1``
+        marks a retired node, which must have no alive incident record.
 
     Notes
     -----
@@ -227,6 +249,7 @@ def run_growth_iterations(
     # internal radius.
     cluster_radius = node_radius.copy()
 
+    join_edge_per_node = np.full(n, -1, dtype=np.int64)  # provenance id
     spanner: list[np.ndarray] = []
     stats: list[IterationStats] = []
     # Record positions in (weight, eid) order; each iteration keeps the
@@ -257,7 +280,7 @@ def run_growth_iterations(
         # Every processing node retires unless it joins below.
         new_labels[processing] = -1
 
-        join_edge_per_node = np.full(n, -1, dtype=np.int64)  # provenance id
+        join_edge_per_node[processing] = -1
         join_cluster_per_node = np.full(n, -1, dtype=np.int64)
 
         tails, hc, apos, order, lead_idx = _arc_groups(
@@ -359,8 +382,40 @@ def run_growth_iterations(
         np.unique(np.concatenate(spanner)) if spanner else np.zeros(0, dtype=np.int64)
     )
     return GrowthOutcome(
-        labels=labels, spanner_eids=eids, stats=stats, radius_bound=out_radius
+        labels=labels,
+        spanner_eids=eids,
+        stats=stats,
+        radius_bound=out_radius,
+        join_eids=join_edge_per_node,
     )
+
+
+def contract_clusters(
+    labels: np.ndarray, radius_bound: np.ndarray, node_radius: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Step C's relabel: number a final clustering as the next super-nodes.
+
+    ``labels`` is a :attr:`GrowthOutcome.labels` array (seed ids, ``-1``
+    for retirees).  The ``C`` clusters become super-nodes ``0..C-1`` in
+    seed order, and every retiree a fresh singleton after them, in node
+    order.
+
+    Returns ``(new_id, new_radius, C)``: each super-node's next id, and per
+    new super-node its radius bound — the cluster's ``radius_bound``, or
+    the retiree's own ``node_radius``.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    clustered = labels >= 0
+    is_seed = np.zeros(labels.size, dtype=bool)
+    is_seed[labels[clustered]] = True
+    num_clusters = int(np.count_nonzero(is_seed))
+    retired = np.flatnonzero(~clustered)
+    new_id = np.empty(labels.size, dtype=np.int64)
+    new_id[clustered] = (np.cumsum(is_seed) - 1)[labels[clustered]]
+    new_id[retired] = num_clusters + np.arange(retired.size)
+    new_radius = np.empty(num_clusters + retired.size)
+    new_radius[new_id] = np.where(clustered, radius_bound, node_radius)
+    return new_id, new_radius, num_clusters
 
 
 def phase2_edges(edges: EdgeSet, labels: np.ndarray) -> np.ndarray:

@@ -17,8 +17,9 @@ Special cases recovered exactly:
 
 * ``t = k-1``: one epoch with ``p = n^{-1/k}`` — Baswana–Sen itself;
 * ``t = 1``: contraction after every iteration — the Section 4
-  cluster-merging algorithm (see :mod:`repro.core.cluster_merging` for the
-  independent direct implementation the tests cross-validate against);
+  cluster-merging algorithm (:mod:`repro.core.cluster_merging` runs the
+  same engine iteration over vertex-level cluster labels instead of
+  quotients; the tests cross-validate the two);
 * ``t = ceil(sqrt(k))``: two epochs — the Section 3 warm-up.
 """
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from ..graphs.graph import WeightedGraph
 from ..graphs.quotient import quotient_edges
-from .engine import EdgeSet, run_growth_iterations
+from .engine import EdgeSet, contract_clusters, run_growth_iterations
 from .params import coerce_rng, num_epochs, sampling_probability
 from .results import SpannerResult
 
@@ -102,7 +103,6 @@ def general_tradeoff(
     l = num_epochs(k, t_eff)
     edges = EdgeSet.from_arrays(n, g.edges_u, g.edges_v, g.edges_w)
     sn_radius = np.zeros(n)
-    vertex_sn = np.arange(n, dtype=np.int64)  # original vertex -> super-node
 
     spanner_parts: list[np.ndarray] = []
     stats = []
@@ -124,27 +124,13 @@ def general_tradeoff(
         stats.extend(outcome.stats)
 
         # ---- Step C: contract the final clustering ------------------------
-        sn_labels = outcome.labels
-        clustered = sn_labels >= 0
-        seeds = np.unique(sn_labels[clustered]) if clustered.any() else np.zeros(0, np.int64)
-        seed_to_new = np.full(edges.num_nodes, -1, dtype=np.int64)
-        seed_to_new[seeds] = np.arange(seeds.size)
-        new_id = np.empty(edges.num_nodes, dtype=np.int64)
-        new_id[clustered] = seed_to_new[sn_labels[clustered]]
-        retired = np.flatnonzero(~clustered)
-        new_id[retired] = seeds.size + np.arange(retired.size)
-        new_num = int(seeds.size + retired.size)
-
-        new_radius = np.zeros(new_num)
-        if clustered.any():
-            new_radius[new_id[clustered]] = outcome.radius_bound[clustered]
-        new_radius[new_id[retired]] = sn_radius[retired]
-
+        new_id, sn_radius, _ = contract_clusters(
+            outcome.labels, outcome.radius_bound, sn_radius
+        )
+        new_num = sn_radius.size
         eu, ev, ew, eeid = edges.alive_view()
         q = quotient_edges(new_id, eu, ev, ew, eeid)
         edges = EdgeSet.from_arrays(new_num, q.u, q.v, q.w, q.rep_edge_id)
-        sn_radius = new_radius
-        vertex_sn = new_id[vertex_sn]
         contractions.append((i, new_num))
 
         if edges.u.size == 0:

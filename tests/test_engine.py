@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import EdgeSet, phase2_edges, run_growth_iterations
+from repro.core import EdgeSet, contract_clusters, phase2_edges, run_growth_iterations
 from repro.graphs import WeightedGraph, erdos_renyi
 
 
@@ -204,6 +204,62 @@ class TestJoinSemantics:
         )
         bounds = [s.max_radius_bound for s in out.stats]
         assert all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:]))
+
+
+class TestJoinEids:
+    @pytest.mark.parametrize("iterations,p,seed", [(1, 0.3, 1), (3, 0.3, 2), (2, 0.6, 3)])
+    def test_every_joined_node_has_its_join_edge(self, er_weighted, iterations, p, seed):
+        g = er_weighted
+        out = run_growth_iterations(
+            _edges_from_graph(g),
+            iterations=iterations,
+            probability=p,
+            rng=np.random.default_rng(seed),
+        )
+        nodes = np.arange(g.n)
+        joined = (out.labels >= 0) & (out.labels != nodes)
+        assert joined.any()
+        assert np.all(out.join_eids[~joined] == -1)
+        e = out.join_eids[joined]
+        assert np.all(e >= 0) and np.isin(e, out.spanner_eids).all()
+        # The edge leaves the node and lands in the cluster it ended in.
+        x = nodes[joined]
+        a, b = g.edges_u[e], g.edges_v[e]
+        assert np.all((a == x) | (b == x))
+        other = np.where(a == x, b, a)
+        assert np.array_equal(out.labels[other], out.labels[x])
+
+
+class TestContractClusters:
+    # Seeds 2, 5 and 6 (labels[s] == s); vertices 1 and 4 retired.
+    LABELS = np.array([2, -1, 2, 5, -1, 5, 6])
+
+    def test_retirees_numbered_after_clusters_in_seed_order(self):
+        new_id, _, num_clusters = contract_clusters(
+            self.LABELS, np.zeros(7), np.zeros(7)
+        )
+        assert num_clusters == 3
+        assert new_id.tolist() == [0, 3, 0, 1, 4, 1, 2]
+
+    def test_radius_carried_for_clusters_and_retirees(self):
+        radius_bound = np.array([3.0, 0.0, 3.0, 7.0, 0.0, 7.0, 0.5])
+        node_radius = np.arange(10.0, 17.0)
+        _, new_radius, _ = contract_clusters(self.LABELS, radius_bound, node_radius)
+        assert new_radius.tolist() == [3.0, 7.0, 0.5, 11.0, 14.0]
+
+    def test_empty(self):
+        new_id, new_radius, num_clusters = contract_clusters(
+            np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
+        )
+        assert new_id.size == 0 and new_radius.size == 0 and num_clusters == 0
+
+    def test_all_retired_become_singletons_in_node_order(self):
+        new_id, new_radius, num_clusters = contract_clusters(
+            np.full(3, -1), np.zeros(3), np.array([1.0, 2.0, 4.0])
+        )
+        assert num_clusters == 0
+        assert new_id.tolist() == [0, 1, 2]
+        assert new_radius.tolist() == [1.0, 2.0, 4.0]
 
 
 class TestPhase2:
