@@ -27,10 +27,10 @@ import math
 import numpy as np
 
 from ..congest.clique import CongestedClique
-from ..core.engine import EdgeSet, contract_clusters, run_growth_iterations
+from ..core.engine import EdgeSet, contract_clusters, live_seeds, run_growth_iterations
 from ..core.params import coerce_rng, num_epochs, sampling_probability
 from ..core.results import IterationStats, RoundStats, SpannerResult
-from ..graphs.graph import WeightedGraph
+from ..graphs.graph import WeightedGraph, sorted_unique
 from ..graphs.quotient import quotient_edges
 
 __all__ = ["spanner_cc"]
@@ -56,20 +56,6 @@ def _attempt(edges: EdgeSet, labels, radius, p, rng, epoch):
         start_labels=labels,
     )
     return out, clone
-
-
-def _live_seeds(labels: np.ndarray, num_nodes: int) -> np.ndarray:
-    """Sorted distinct cluster seeds among ``labels >= 0``.
-
-    Labels are seed ids in ``[0, num_nodes)``, so a scatter into a flag
-    array replaces the per-iteration ``np.unique`` sort — O(n) instead of
-    O(n log n), same sorted result.
-    """
-    flags = np.zeros(num_nodes, dtype=bool)
-    clustered = labels >= 0
-    if clustered.any():
-        flags[labels[clustered]] = True
-    return np.flatnonzero(flags)
 
 
 def spanner_cc(
@@ -146,7 +132,7 @@ def spanner_cc(
             cc.charge_broadcast_word(name="sampling-bits")
             cc.charge_aggregate(name="run-counters")
 
-            num_clusters = max(int(_live_seeds(labels, num_nodes).size), 1)
+            num_clusters = max(int(live_seeds(labels, num_nodes).size), 1)
             sample_cap = max(size_slack * num_clusters * p, size_slack * log_n)
             added_cap = size_slack * num_clusters / max(p, 1e-12)
 
@@ -188,15 +174,11 @@ def spanner_cc(
             break
 
     _, _, _, remaining = edges.alive_view()
-    extra_edges = np.unique(remaining)
+    extra_edges = sorted_unique(remaining)
     edges.kill_all()
     spanner_parts.append(extra_edges)
 
-    eids = (
-        np.unique(np.concatenate(spanner_parts))
-        if spanner_parts
-        else np.zeros(0, dtype=np.int64)
-    )
+    eids = sorted_unique(np.concatenate(spanner_parts))
     res = SpannerResult(
         edge_ids=eids,
         algorithm="spanner-cc",

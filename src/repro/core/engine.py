@@ -29,17 +29,20 @@ edge view whose endpoints are cluster labels, so whole clusters act as
 super-nodes without a quotient).
 
 Vectorization strategy (this is the hot loop of the whole library): each
-call ranks its records once by (weight, eid) with one ``np.lexsort``.  An
-iteration then lays out the two arcs of every alive record in rank order
-and groups them by (tail, head cluster) with a single stable integer-key
-``np.argsort``.  Stability keeps every group in rank order, so a group's
-first arc is its minimum, and arc indices order the leaders by (weight,
-eid); the closest sampled cluster of a tail is then a
-``np.minimum.reduceat`` over the arc indices of its sampled group leaders.
-Per-group actions and discards are segment operations — no Python loop
-over nodes or edges.  This mirrors the paper's own MPC implementation
-(Section 6), which performs the same grouping with one distributed sort
-per iteration.
+call ranks its records once by (weight, eid) (:func:`rank_records`: one
+default ``np.argsort`` of the weights, then only tied runs are re-sorted).
+An iteration then lays out the two arcs of every alive record in rank
+order, so comparing two arc indices compares (weight, eid), and groups them
+by (tail, head cluster) with :func:`repro.graphs.graph.group_by` — numpy's
+default (unstable, SIMD) ``argsort`` of one integer key.  No decision reads
+the order of arcs inside a group, only group membership and group minima:
+a group's leader is the ``np.minimum.reduceat`` of its arc indices, the
+closest sampled cluster of a tail is the same segment minimum over its
+sampled group leaders, and discards expand group decisions back onto
+member arcs.  So sort stability buys nothing, and the output is the same
+whatever order the sort leaves ties in.  No Python loop runs over nodes or
+edges.  This mirrors the paper's own MPC implementation (Section 6), which
+performs the same grouping with one distributed sort per iteration.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..graphs.graph import group_by, sorted_unique
 from .results import IterationStats
 
 __all__ = [
@@ -55,7 +59,9 @@ __all__ = [
     "GrowthOutcome",
     "run_growth_iterations",
     "contract_clusters",
+    "live_seeds",
     "phase2_edges",
+    "rank_records",
 ]
 
 
@@ -98,8 +104,8 @@ class EdgeSet:
         return cls(num_nodes, u, v, w, eid, np.ones(u.size, dtype=bool))
 
     def alive_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        m = self.alive
-        return self.u[m], self.v[m], self.w[m], self.eid[m]
+        at = np.flatnonzero(self.alive)
+        return self.u.take(at), self.v.take(at), self.w.take(at), self.eid.take(at)
 
     def kill(self, positions: np.ndarray) -> None:
         """Mark the records at ``positions`` dead (duplicates and
@@ -155,42 +161,99 @@ class GrowthOutcome:
     join_eids: np.ndarray
 
 
+def _sort_tied_runs(order: np.ndarray, tie: np.ndarray, vals: np.ndarray) -> None:
+    """Sort, in place, each run of ``order`` whose neighbours ``tie`` links.
+
+    ``tie[i]`` says entries ``i`` and ``i + 1`` belong to the same run, and
+    ``vals`` holds each entry's next sort key (aligned with ``order``; non-
+    negative integers, as record positions and provenance ids are).  Entries equal on ``vals`` end in unspecified order within their run.
+    """
+    linked = np.zeros(order.size, dtype=bool)
+    linked[1:] = tie
+    run_start = ~linked
+    linked[:-1] |= tie
+    at = np.flatnonzero(linked)
+    run = np.cumsum(run_start[at]) - 1
+    # Pack (run, value) into one int64 key: offset the values to start at 0,
+    # or, if their span times the run count would overflow, dense-rank them
+    # (a rank is below ``at.size``).
+    v = vals[at]
+    v = v - v.min()
+    span = int(v.max()) + 1
+    if (int(run[-1]) + 1) * span >= 2**63:
+        by_val, val_start = group_by(v)
+        v = np.empty(at.size, dtype=np.int64)
+        v[by_val] = np.repeat(np.arange(val_start.size), np.diff(val_start, append=at.size))
+        span = at.size
+    order[at] = order[at[np.argsort(run * np.int64(span) + v)]]
+
+
+def rank_records(w: np.ndarray, eid: np.ndarray) -> np.ndarray:
+    """Positions of the records in (weight, eid, position) order.
+
+    The same permutation as ``np.lexsort((eid, w))``, built from one default
+    ``np.argsort`` of the weights: only the runs of tied weights are
+    re-sorted by eid, and only runs tied on both by position.  Ties are rare
+    on real-valued weights, so the common cost is a single SIMD sort.
+    """
+    order = np.argsort(w)
+    ws = w[order]
+    tie = ws[1:] == ws[:-1]
+    if tie.any():
+        _sort_tied_runs(order, tie, eid[order])
+        es = eid[order]
+        tie &= es[1:] == es[:-1]
+        if tie.any():
+            _sort_tied_runs(order, tie, order)
+    return order
+
+
+def live_seeds(labels: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Sorted distinct cluster seeds among ``labels >= 0``.
+
+    Labels are seed ids in ``[0, num_nodes)``, so a scatter into a flag
+    array gives ``np.unique``'s result in O(n) instead of a sort.
+    """
+    flags = np.zeros(num_nodes, dtype=bool)
+    flags[labels[labels >= 0]] = True
+    return np.flatnonzero(flags)
+
+
 def _arc_groups(
     edges: EdgeSet,
     ranked: np.ndarray,
     labels: np.ndarray,
     tail_ok: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Group the arcs of the records at ``ranked`` by (tail, head cluster).
 
     ``ranked`` lists record positions in (weight, eid) order.  Arcs ``2i``
     and ``2i + 1`` are record ``ranked[i]`` read ``u -> v`` and ``v -> u``,
-    so arc indices follow the same order; arcs whose tail fails
-    ``tail_ok`` are dropped.  One stable sort on ``tail * n + cluster``
-    keeps every group in (weight, eid) order, so a group's first arc is its
-    minimum, and comparing two arc indices compares (weight, eid).  Records
-    that tie on both (only possible when eids repeat) keep ``ranked``'s
-    order.
+    so comparing two arc indices compares (weight, eid); arcs whose tail
+    fails ``tail_ok`` are dropped.  Arcs are grouped on the one integer key
+    ``tail * n + cluster``; each group's leader is its minimum arc index,
+    i.e. its (weight, eid) minimum.  Records that tie on both (only possible
+    when eids repeat) are ordered by their place in ``ranked``.
 
-    Returns ``(tail, cluster, pos, order, lead)``: per arc (in arc order)
-    its tail, head cluster and record position; the grouping permutation;
-    and the indices into ``order`` at which the groups start.
+    Returns ``(tail, cluster, pos, order, lead, lead_arc)``: per arc (in arc
+    order) its tail, head cluster and record position; the grouping
+    permutation (unspecified order within a group); the indices into
+    ``order`` at which the groups start; and each group's leader arc.
     """
     tail = np.empty(2 * ranked.size, dtype=np.int64)
-    tail[0::2] = edges.u[ranked]
-    tail[1::2] = edges.v[ranked]
+    tail[0::2] = edges.u.take(ranked)
+    tail[1::2] = edges.v.take(ranked)
     head = np.empty_like(tail)
     head[0::2] = tail[1::2]
     head[1::2] = tail[0::2]
     pos = np.repeat(ranked, 2)
     if tail_ok is not None:
-        keep = tail_ok[tail]
-        tail, head, pos = tail[keep], head[keep], pos[keep]
-    cluster = labels[head]
-    key = tail * edges.num_nodes + cluster
-    order = np.argsort(key, kind="stable")
-    lead = np.flatnonzero(np.diff(key[order], prepend=-1))
-    return tail, cluster, pos, order, lead
+        keep = np.flatnonzero(tail_ok.take(tail))
+        tail, head, pos = tail.take(keep), head.take(keep), pos.take(keep)
+    cluster = labels.take(head)
+    order, lead = group_by(tail * edges.num_nodes + cluster)
+    lead_arc = np.minimum.reduceat(order, lead) if lead.size else lead
+    return tail, cluster, pos, order, lead, lead_arc
 
 
 def run_growth_iterations(
@@ -254,7 +317,8 @@ def run_growth_iterations(
     stats: list[IterationStats] = []
     # Record positions in (weight, eid) order; each iteration keeps the
     # alive ones, so its arcs come out already ranked.
-    rank = np.lexsort((edges.eid, edges.w))
+    rank = rank_records(edges.w, edges.eid)
+    cluster_ids = live_seeds(labels, n)
 
     for j in range(1, iterations + 1):
         p = probability(j) if callable(probability) else float(probability)
@@ -262,7 +326,6 @@ def run_growth_iterations(
             raise ValueError(f"sampling probability {p} outside [0, 1]")
 
         active = labels >= 0
-        cluster_ids = np.unique(labels[active]) if active.any() else np.zeros(0, np.int64)
         num_clusters = int(cluster_ids.size)
         alive_before = edges.num_alive
 
@@ -283,12 +346,11 @@ def run_growth_iterations(
         join_edge_per_node[processing] = -1
         join_cluster_per_node = np.full(n, -1, dtype=np.int64)
 
-        tails, hc, apos, order, lead_idx = _arc_groups(
-            edges, rank[edges.alive[rank]], labels, processing
+        tails, hc, apos, order, lead_idx, lead_arc = _arc_groups(
+            edges, rank.take(np.flatnonzero(edges.alive.take(rank))), labels, processing
         )
         if tails.size:
             # Per-(tail, cluster) group leader: the group's minimum arc.
-            lead_arc = order[lead_idx]
             gt = tails[lead_arc]
             gw = edges.w[apos[lead_arc]]
             g_sampled = sampled_flag[hc[lead_arc]]
@@ -349,18 +411,15 @@ def run_growth_iterations(
 
         # --- Step B6: drop intra-cluster edges -----------------------------
         if edges.num_alive:
-            m = edges.alive
-            lu = new_labels[edges.u[m]]
-            lv = new_labels[edges.v[m]]
-            intra = lu == lv
-            pos = np.flatnonzero(m)
+            pos = np.flatnonzero(edges.alive)
+            intra = new_labels.take(edges.u.take(pos)) == new_labels.take(edges.v.take(pos))
             edges.kill(pos[intra])
 
         labels = new_labels
         num_added = int(sum(a.size for a in added_this_iter))
         spanner.extend(added_this_iter)
-        live_clusters = np.unique(labels[labels >= 0])
-        max_rb = float(cluster_radius[live_clusters].max()) if live_clusters.size else 0.0
+        cluster_ids = live_seeds(labels, n)
+        max_rb = float(cluster_radius[cluster_ids].max()) if cluster_ids.size else 0.0
         stats.append(
             IterationStats(
                 epoch=epoch,
@@ -378,9 +437,7 @@ def run_growth_iterations(
     act = labels >= 0
     if act.any():
         out_radius[act] = cluster_radius[labels[act]]
-    eids = (
-        np.unique(np.concatenate(spanner)) if spanner else np.zeros(0, dtype=np.int64)
-    )
+    eids = sorted_unique(np.concatenate(spanner)) if spanner else np.zeros(0, dtype=np.int64)
     return GrowthOutcome(
         labels=labels,
         spanner_eids=eids,
@@ -430,12 +487,12 @@ def phase2_edges(edges: EdgeSet, labels: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     alive = np.flatnonzero(edges.alive)
-    ranked = alive[np.lexsort((edges.eid[alive], edges.w[alive]))]
-    _, hc, apos, order, lead_idx = _arc_groups(edges, ranked, labels)
+    ranked = alive.take(rank_records(edges.w.take(alive), edges.eid.take(alive)))
+    _, hc, apos, _, _, lead_arc = _arc_groups(edges, ranked, labels)
     if (hc < 0).any():
         raise AssertionError(
             "alive edge endpoint outside any final cluster — Lemma 5.6 violated"
         )
-    chosen = edges.eid[apos[order[lead_idx]]]
+    chosen = edges.eid[apos[lead_arc]]
     edges.kill_all()
-    return np.unique(chosen)
+    return sorted_unique(chosen)

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from ..graphs.graph import WeightedGraph
+from ..graphs.graph import WeightedGraph, sorted_unique
 from ..graphs.quotient import quotient_edges
 from .engine import EdgeSet, contract_clusters, run_growth_iterations
 from .params import coerce_rng, num_epochs, sampling_probability
@@ -141,15 +141,11 @@ def general_tradeoff(
     # minimum-weight connecting edge, so Phase 2 ("min edge per (node,
     # cluster) pair") is precisely the set of all remaining edges.
     _, _, _, remaining = edges.alive_view()
-    extra = np.unique(remaining)
+    extra = sorted_unique(remaining)
     edges.kill_all()
     spanner_parts.append(extra)
 
-    eids = (
-        np.unique(np.concatenate(spanner_parts))
-        if spanner_parts
-        else np.zeros(0, dtype=np.int64)
-    )
+    eids = sorted_unique(np.concatenate(spanner_parts))
     return SpannerResult(
         edge_ids=eids,
         algorithm="general-tradeoff",

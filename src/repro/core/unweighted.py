@@ -42,7 +42,7 @@ import math
 import numpy as np
 
 from ..graphs.distances import batched_capped_bfs
-from ..graphs.graph import WeightedGraph
+from ..graphs.graph import WeightedGraph, group_by
 from .baswana_sen import baswana_sen
 from .params import coerce_rng
 from .results import SpannerResult
@@ -227,11 +227,11 @@ def unweighted_spanner(
         if za.size:
             lo = np.minimum(za, zb)
             hi = np.maximum(za, zb)
-            order = np.lexsort((rep, hi, lo))
-            lo, hi, rep = lo[order], hi[order], rep[order]
-            lead = np.ones(lo.size, dtype=bool)
-            lead[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-            lo, hi, rep = lo[lead], hi[lead], rep[lead]
+            # One representative per hitter pair: its minimum edge id.
+            order, start = group_by(lo * n + hi)
+            rep = np.minimum.reduceat(rep[order], start)
+            first = order[start]
+            lo, hi = lo[first], hi[first]
             # Compact hitter ids for the auxiliary graph.
             zs, inv_lo = np.unique(np.concatenate([lo, hi]), return_inverse=True)
             aux = WeightedGraph(

@@ -47,7 +47,7 @@ from ..core import membudget
 from ..core.params import coerce_rng
 from ..core.results import SpannerResult
 from ..graphs.distances import _gather_neighbors, iter_sssp_chunks, symmetric_dijkstra
-from ..graphs.graph import WeightedGraph, sorted_lookup
+from ..graphs.graph import WeightedGraph, group_by, sorted_lookup
 
 __all__ = [
     "DistanceSketch",
@@ -125,7 +125,9 @@ def build_bunches_batched(
                 "distances.sketches.build_bunches_batched",
                 keys.nbytes + dists.nbytes,
             )
-            order = np.argsort(keys, kind="stable")
+            # One key per (vertex, source) pair: distinct, so any sort
+            # gives the same order.
+            order = np.argsort(keys)
             all_keys.append(keys[order])
             all_dists.append(dists[order])
             continue
@@ -153,11 +155,9 @@ def build_bunches_batched(
 
             # Minimum distance per (vertex, center) among this hop's arrivals.
             ckey = cand_v * nn + cand_c
-            order = np.lexsort((cand_d, ckey))
-            ckey, cand_d = ckey[order], cand_d[order]
-            first = np.ones(ckey.size, dtype=bool)
-            first[1:] = ckey[1:] != ckey[:-1]
-            ckey, cand_d = ckey[first], cand_d[first]
+            order, start = group_by(ckey)
+            cand_d = np.minimum.reduceat(cand_d[order], start)
+            ckey = ckey[order[start]]
 
             # Keep only candidates that improve the current state.
             present, clipped = sorted_lookup(bk, ckey)
@@ -173,7 +173,8 @@ def build_bunches_batched(
             if fresh.any():
                 bk = np.concatenate([bk, ckey[fresh]])
                 bd = np.concatenate([bd, cand_d[fresh]])
-                order = np.argsort(bk, kind="stable")
+                # Fresh keys are absent from ``bk``, so all keys are distinct.
+                order = np.argsort(bk)
                 bk, bd = bk[order], bd[order]
 
             front_v = ckey // nn
@@ -191,7 +192,7 @@ def build_bunches_batched(
         dists = np.concatenate(all_dists)
         # Centers are disjoint across levels, so keys are globally unique;
         # one sort groups them by vertex with centers ascending within.
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)
         keys, dists = keys[order], dists[order]
         verts = keys // nn
         centers = keys - verts * nn

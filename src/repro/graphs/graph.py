@@ -31,9 +31,12 @@ __all__ = [
     "WeightedGraph",
     "canonical_edges",
     "dedupe_edges",
+    "group_by",
+    "group_starts",
     "lockstep_run_lookup",
     "sorted_lookup",
     "sorted_pair_lookup",
+    "sorted_unique",
 ]
 
 
@@ -79,6 +82,39 @@ def sorted_lookup(haystack: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, n
     pos = np.searchsorted(haystack, keys)
     clipped = np.minimum(pos, haystack.size - 1)
     return (pos < haystack.size) & (haystack[clipped] == keys), clipped
+
+
+def group_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Indices at which the runs of equal values of an ascending array start."""
+    first = np.empty(sorted_keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def group_by(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group records by one integer key: ``(order, starts)``.
+
+    ``order`` is numpy's default (unstable, SIMD) ``argsort`` of ``keys`` and
+    ``starts`` indexes into it where each group begins, so group ``i`` is
+    ``order[starts[i]:starts[i + 1]]``.  The order *within* a group is
+    unspecified: callers read only group membership and per-group minima
+    (``np.minimum.reduceat(values[order], starts)``), which makes a stable
+    sort unnecessary.  This is the build's one grouping kernel — growth
+    arcs, quotient super-edges and bunch candidates all go through it.
+    """
+    order = np.argsort(keys)
+    return order, group_starts(keys[order])
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The ascending distinct values of ``values`` (``np.unique``'s result).
+
+    A sort plus a neighbour mask: bare ``np.unique`` on integers may take a
+    hash-based path that is several times slower at build sizes.
+    """
+    s = np.sort(np.asarray(values).ravel())
+    return s[group_starts(s)]
 
 
 def sorted_pair_lookup(
@@ -447,7 +483,7 @@ class WeightedGraph:
         The vertex set is unchanged (all ``n`` vertices), which is exactly
         what a spanner is: a spanning subgraph.
         """
-        ids = np.unique(np.asarray(edge_ids).ravel().astype(np.int64, copy=False))
+        ids = sorted_unique(np.asarray(edge_ids).astype(np.int64, copy=False))
         if ids.size and (ids[0] < 0 or ids[-1] >= self.m):
             raise ValueError("edge id out of range")
         return WeightedGraph(

@@ -8,11 +8,16 @@ pair of super-nodes; we implement that as the default because the stretch
 proof relies on it, and we track which original edge id realizes each
 super-edge so spanner output always refers to original edges.
 
-Everything here is a numpy ``lexsort`` pipeline: label endpoints, sort edge
-records by (super-u, super-v, weight), keep group leaders.  This mirrors how
-the MPC implementation (Section 6) does it with a distributed sort, which is
-also why the machine-level implementation in :mod:`repro.mpc_impl` can share
-the same logic shape.
+Everything here is one sort by an integer group key: label endpoints, key
+each inter-cluster record by its super-node pair ``lo * C + hi``, group the
+records with :func:`repro.graphs.graph.group_by` (numpy's default, unstable
+argsort), and read each group's kept edge as a segment minimum — the
+minimum weight, then the minimum provenance id among the records that carry
+it.  A minimum does not depend on the order of the records inside a group,
+so the sort need not be stable.  This mirrors how the MPC implementation
+(Section 6) does it with a distributed sort, which is also why the
+machine-level implementation in :mod:`repro.mpc_impl` can share the same
+logic shape.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .graph import group_by
 
 __all__ = ["QuotientEdges", "quotient_edges", "relabel_clustering"]
 
@@ -85,30 +92,41 @@ def quotient_edges(
         edge_ids = np.asarray(edge_ids, dtype=np.int64)
     num_nodes = int(labels.max()) + 1 if labels.size else 0
 
-    cu = labels[u]
-    cv = labels[v]
+    cu = labels.take(u)
+    cv = labels.take(v)
     lo = np.minimum(cu, cv)
     hi = np.maximum(cu, cv)
-    keep = lo != hi
-    lo, hi, w2, ids = lo[keep], hi[keep], w[keep], edge_ids[keep]
-    if lo.size == 0:
+    inter = np.flatnonzero(lo != hi)
+    if inter.size == 0:
         z = np.zeros(0, dtype=np.int64)
         return QuotientEdges(num_nodes, z, z, np.zeros(0), z.copy())
-    order = np.lexsort((ids, w2, hi, lo))
-    lo, hi, w2, ids = lo[order], hi[order], w2[order], ids[order]
-    leader = np.ones(lo.size, dtype=bool)
-    leader[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    return QuotientEdges(num_nodes, lo[leader], hi[leader], w2[leader], ids[leader])
+    key = lo.take(inter) * num_nodes + hi.take(inter)
+    order, start = group_by(key)
+    rec = inter.take(order)
+    ws = w.take(rec)
+    w_min = np.minimum.reduceat(ws, start)
+    # The kept edge: minimum weight, then minimum provenance id among the
+    # records of that weight.
+    at_min = ws == np.repeat(w_min, np.diff(start, append=ws.size))
+    ids = np.where(at_min, edge_ids.take(rec), np.iinfo(np.int64).max)
+    pair = key.take(order.take(start))
+    lo = pair // num_nodes
+    return QuotientEdges(
+        num_nodes, lo, pair - lo * num_nodes, w_min, np.minimum.reduceat(ids, start)
+    )
 
 
 def relabel_clustering(labels: np.ndarray) -> tuple[np.ndarray, int]:
     """Compact arbitrary integer labels to ``0..C-1`` (first-appearance
     order) and return ``(new_labels, C)``."""
     labels = np.asarray(labels, dtype=np.int64)
-    uniq, inv = np.unique(labels, return_inverse=True)
-    # np.unique orders by value; re-map to first-appearance order so label 0
-    # is the cluster of vertex 0 etc. — handy for deterministic tests.
-    first_pos = np.full(uniq.size, labels.size, dtype=np.int64)
-    np.minimum.at(first_pos, inv, np.arange(labels.size))
-    rank = np.argsort(np.argsort(first_pos, kind="stable"), kind="stable")
-    return rank[inv], int(uniq.size)
+    order, start = group_by(labels)
+    # A cluster's first appearance is its minimum position; numbering the
+    # clusters in that order makes label 0 the cluster of vertex 0 etc. —
+    # handy for deterministic tests.
+    first = np.minimum.reduceat(order, start) if start.size else start
+    rank = np.empty(start.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(start.size)
+    out = np.empty(labels.size, dtype=np.int64)
+    out[order] = np.repeat(rank, np.diff(start, append=labels.size))
+    return out, int(start.size)

@@ -37,12 +37,12 @@ from repro.graphs import (
 )
 
 
-def _random_graph(seed: int) -> WeightedGraph:
+def _random_graph(seed: int, weights: str = "uniform") -> WeightedGraph:
     """A varied workload: dense/sparse ER, sometimes disconnected."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(20, 120))
     p = float(rng.uniform(0.02, 0.2))
-    g = erdos_renyi(n, p, weights="uniform", rng=seed)
+    g = erdos_renyi(n, p, weights=weights, rng=seed)
     if seed % 3 == 0:
         # Two disjoint copies plus isolated vertices.
         u = np.concatenate([g.edges_u, g.edges_u + n])
@@ -53,10 +53,13 @@ def _random_graph(seed: int) -> WeightedGraph:
 
 
 class TestBunchBuilders:
+    # ``unit`` and ``integer`` weights make candidate distances tie, so the
+    # per-hop minimum per (vertex, center) sees equal values.
+    @pytest.mark.parametrize("weights", ["uniform", "unit", "integer"])
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_batched_matches_reference(self, seed, k):
-        g = _random_graph(seed)
+    def test_batched_matches_reference(self, seed, k, weights):
+        g = _random_graph(seed, weights)
         sk = DistanceSketch(g, k, rng=seed)
         ref = build_bunches_reference(g, sk.levels, sk.pivot_dist)
         got = sk.bunch  # compatibility view over the CSR arrays

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import EdgeSet, contract_clusters, phase2_edges, run_growth_iterations
+from repro.core.engine import live_seeds, rank_records
 from repro.graphs import WeightedGraph, erdos_renyi
 
 
@@ -289,3 +292,53 @@ class TestPhase2:
         es.kill_all()
         out = phase2_edges(es, np.zeros(small_weighted.n, dtype=np.int64))
         assert out.size == 0
+
+
+class TestRankRecords:
+    """``rank_records`` is ``np.lexsort((position, eid, w))`` without a
+    stable or multi-key sort."""
+
+    @staticmethod
+    def _lexsort(w, eid):
+        return np.lexsort((np.arange(w.size), eid, w))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        w=st.lists(st.sampled_from([1.0, 2.0, 3.0, 0.5]), max_size=60),
+        data=st.data(),
+    )
+    def test_matches_lexsort_with_ties(self, w, data):
+        w = np.asarray(w, dtype=np.float64)
+        eid = np.asarray(
+            data.draw(st.lists(st.integers(0, 6), min_size=w.size, max_size=w.size)),
+            dtype=np.int64,
+        )
+        assert np.array_equal(rank_records(w, eid), self._lexsort(w, eid))
+
+    @pytest.mark.parametrize(
+        "w, eid",
+        [
+            (np.ones(50), np.arange(50)[::-1].copy()),  # all weights equal
+            (np.ones(50), np.repeat(np.arange(5), 10)),  # all equal, eids repeat
+            (np.full(40, 2.0), np.full(40, 7)),  # tied on both: position order
+            (np.random.default_rng(1).permutation(80) / 7.0, np.arange(80)),  # no ties
+            (np.zeros(0), np.zeros(0, dtype=np.int64)),
+        ],
+    )
+    def test_matches_lexsort_edge_cases(self, w, eid):
+        assert np.array_equal(rank_records(w, eid), self._lexsort(w, eid))
+
+    def test_huge_eids_take_the_dense_rank_path(self):
+        """Eids spanning ~2**62 cannot be packed with the run index as they
+        are, so the tied runs are re-sorted by the eids' dense rank."""
+        rng = np.random.default_rng(4)
+        w = rng.integers(1, 4, 200).astype(np.float64)
+        eid = rng.choice(np.array([0, 5, 2**62, 2**62 + 3, 2**61]), 200)
+        assert np.array_equal(rank_records(w, eid), self._lexsort(w, eid))
+
+
+def test_live_seeds_match_unique():
+    rng = np.random.default_rng(2)
+    labels = rng.integers(-1, 30, 200)
+    assert np.array_equal(live_seeds(labels, 30), np.unique(labels[labels >= 0]))
+    assert live_seeds(np.full(5, -1), 5).size == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import WeightedGraph, canonical_edges, dedupe_edges
+from repro.graphs.graph import group_by, sorted_unique
 
 
 class TestCanonicalEdges:
@@ -199,3 +200,23 @@ class TestConversions:
 
     def test_total_weight(self, small_weighted):
         assert small_weighted.total_weight() == pytest.approx(21.0)
+
+
+class TestGroupingKernel:
+    def test_group_by_groups_equal_keys(self):
+        keys = np.random.default_rng(3).integers(0, 9, 300)
+        order, starts = group_by(keys)
+        sizes = np.diff(starts, append=keys.size)
+        assert np.array_equal(keys[order[starts]], np.unique(keys))
+        assert np.array_equal(np.repeat(keys[order[starts]], sizes), keys[order])
+
+    def test_group_by_empty(self):
+        order, starts = group_by(np.zeros(0, dtype=np.int64))
+        assert order.size == 0 and starts.size == 0
+
+    @pytest.mark.parametrize("size", [0, 1, 7, 500])
+    def test_sorted_unique_matches_np_unique(self, size):
+        x = np.random.default_rng(size).integers(-20, 20, size)
+        got = sorted_unique(x)
+        assert got.dtype == x.dtype
+        assert np.array_equal(got, np.unique(x))

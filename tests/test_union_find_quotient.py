@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import UnionFind, quotient_edges, relabel_clustering
 
@@ -122,3 +124,53 @@ class TestQuotientEdges:
     def test_empty_edges(self):
         q = quotient_edges(np.array([0, 1]), np.zeros(0), np.zeros(0), np.zeros(0))
         assert q.m == 0 and q.num_nodes == 2
+
+
+def _quotient_reference(labels, u, v, w, ids):
+    """Per super-node pair (lo, hi): the record of minimum (weight, id)."""
+    best: dict[tuple[int, int], tuple[float, int]] = {}
+    for a, b, wt, i in zip(labels[u].tolist(), labels[v].tolist(), w.tolist(), ids.tolist()):
+        if a == b:
+            continue
+        pair = (min(a, b), max(a, b))
+        best[pair] = min(best.get(pair, (wt, i)), (wt, i))
+    return sorted((lo, hi, wt, i) for (lo, hi), (wt, i) in best.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num_vertices=st.integers(1, 12),
+    num_clusters=st.integers(1, 6),
+    records=st.lists(
+        st.tuples(
+            st.integers(0, 11),
+            st.integers(0, 11),
+            st.sampled_from([1.0, 2.0, 3.0]),
+            st.integers(0, 5),  # provenance ids repeat
+        ),
+        max_size=40,
+    ),
+    data=st.data(),
+)
+def test_quotient_matches_dict_reference(num_vertices, num_clusters, records, data):
+    labels = np.asarray(
+        data.draw(
+            st.lists(
+                st.integers(0, num_clusters - 1),
+                min_size=num_vertices,
+                max_size=num_vertices,
+            )
+        ),
+        dtype=np.int64,
+    )
+    labels, _ = relabel_clustering(labels)  # quotient_edges wants 0..C-1
+    records = [(a % num_vertices, b % num_vertices, wt, i) for a, b, wt, i in records]
+    records = data.draw(st.permutations(records))  # shuffled record order
+    u, v, w, ids = (np.asarray(col) for col in zip(*records)) if records else [np.zeros(0)] * 4
+    u, v, ids = u.astype(np.int64), v.astype(np.int64), ids.astype(np.int64)
+    w = w.astype(np.float64)
+
+    q = quotient_edges(labels, u, v, w, ids)
+    got = list(zip(q.u.tolist(), q.v.tolist(), q.w.tolist(), q.rep_edge_id.tolist()))
+    assert got == _quotient_reference(labels, u, v, w, ids)
+    assert q.num_nodes == int(labels.max()) + 1
