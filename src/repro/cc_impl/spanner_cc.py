@@ -125,6 +125,9 @@ def spanner_cc(
 
     for epoch in range(1, l + 1):
         p = sampling_probability(n, k, t_eff, epoch)
+        # Contraction carries a retiree's radius from here: the engine
+        # reports 0 for nodes that retired during the epoch.
+        entry_radius = sn_radius
         for _ in range(t_eff):
             iterations_run += 1
             # One round: every super-node broadcasts its repetition coin
@@ -162,7 +165,7 @@ def spanner_cc(
             )
 
         # --- contraction (pure relabeling; announced in one broadcast) -----
-        new_id, sn_radius, _ = contract_clusters(labels, out.radius_bound, sn_radius)
+        new_id, sn_radius, _ = contract_clusters(labels, out.radius_bound, entry_radius)
         new_num = sn_radius.size
         eu, ev, ew, eeid = edges.alive_view()
         q = quotient_edges(new_id, eu, ev, ew, eeid)

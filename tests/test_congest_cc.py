@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 
 from repro.cc_impl import apsp_cc, spanner_cc
 from repro.congest import CongestedClique, schedule_rounds, two_phase_schedule
-from repro.core import size_bound, stretch_bound
-from repro.graphs import erdos_renyi, verify_spanner
+from repro.core import contract_clusters, size_bound, stretch_bound
+from repro.graphs import erdos_renyi, gnm_random, verify_spanner
 
 
 class TestCliqueAccounting:
@@ -116,6 +117,29 @@ class TestSpannerCC:
 
     def test_k1(self, g_cc):
         assert spanner_cc(g_cc, 1, rng=0).num_edges == g_cc.m
+
+    def test_contraction_carries_retiree_radius(self, monkeypatch):
+        """A super-node that retires during an epoch keeps the radius bound
+        it entered the epoch with; the engine reports 0 for retirees, which
+        must not be what contraction carries forward."""
+        module = importlib.import_module("repro.cc_impl.spanner_cc")
+        calls = []
+
+        def recording(labels, radius_bound, node_radius):
+            new_id, new_radius, num_clusters = contract_clusters(labels, radius_bound, node_radius)
+            calls.append((np.array(labels), new_id, new_radius))
+            return new_id, new_radius, num_clusters
+
+        monkeypatch.setattr(module, "contract_clusters", recording)
+        g = gnm_random(2000, 20000, weights="uniform", rng=3)
+        module.spanner_cc(g, 16, 2, rng=3)
+        assert len(calls) >= 3
+        checked = 0
+        for (_, _, entry), (labels, new_id, carried) in zip(calls, calls[1:]):
+            retired = np.flatnonzero(labels < 0)
+            assert np.array_equal(carried[new_id[retired]], entry[retired])
+            checked += int(np.count_nonzero(entry[retired] > 0))
+        assert checked > 0  # some retiree did enter its epoch with a positive radius
 
 
 class TestApspCC:
