@@ -165,8 +165,9 @@ def _sort_tied_runs(order: np.ndarray, tie: np.ndarray, vals: np.ndarray) -> Non
     """Sort, in place, each run of ``order`` whose neighbours ``tie`` links.
 
     ``tie[i]`` says entries ``i`` and ``i + 1`` belong to the same run, and
-    ``vals`` holds each entry's next sort key (aligned with ``order``; non-
-    negative integers, as record positions and provenance ids are).  Entries equal on ``vals`` end in unspecified order within their run.
+    ``vals`` holds each entry's next sort key, aligned with ``order``:
+    non-negative integers, as record positions and provenance ids are.
+    Entries equal on ``vals`` end in unspecified order within their run.
     """
     linked = np.zeros(order.size, dtype=bool)
     linked[1:] = tie

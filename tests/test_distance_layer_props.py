@@ -52,20 +52,29 @@ def _random_graph(seed: int, weights: str = "uniform") -> WeightedGraph:
     return g
 
 
+def _assert_batched_matches_reference(seed: int, k: int, weights: str) -> None:
+    g = _random_graph(seed, weights)
+    sk = DistanceSketch(g, k, rng=seed)
+    ref = build_bunches_reference(g, sk.levels, sk.pivot_dist)
+    got = sk.bunch  # compatibility view over the CSR arrays
+    assert len(got) == g.n
+    for v in range(g.n):
+        assert got[v] == ref[v]  # same centers, bit-identical distances
+
+
 class TestBunchBuilders:
-    # ``unit`` and ``integer`` weights make candidate distances tie, so the
-    # per-hop minimum per (vertex, center) sees equal values.
-    @pytest.mark.parametrize("weights", ["uniform", "unit", "integer"])
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_batched_matches_reference(self, seed, k, weights):
-        g = _random_graph(seed, weights)
-        sk = DistanceSketch(g, k, rng=seed)
-        ref = build_bunches_reference(g, sk.levels, sk.pivot_dist)
-        got = sk.bunch  # compatibility view over the CSR arrays
-        assert len(got) == g.n
-        for v in range(g.n):
-            assert got[v] == ref[v]  # same centers, bit-identical distances
+    def test_batched_matches_reference(self, seed, k):
+        _assert_batched_matches_reference(seed, k, "uniform")
+
+    # ``unit`` and ``integer`` weights make candidate distances tie, so the
+    # per-hop minimum per (vertex, center) sees equal values.
+    @pytest.mark.parametrize("weights", ["unit", "integer"])
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_batched_matches_reference_tied_weights(self, seed, k, weights):
+        _assert_batched_matches_reference(seed, k, weights)
 
     def test_csr_arrays_consistent(self):
         g = _random_graph(1)
