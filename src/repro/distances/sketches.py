@@ -19,14 +19,27 @@ sketch substrate that application builds on:
 
 Implementation notes: pivots come from one multi-source Dijkstra per level
 (the shared :func:`~repro.graphs.distances.symmetric_dijkstra` kernel with
-scipy's ``min_only``); bunches come from a *level-batched, array-based*
-truncated relaxation (:func:`build_bunches_batched`) that grows flat
-``(vertex, center, dist)`` arrays one frontier hop at a time, pruning every
-candidate against the ``d(v, A_{i+1})`` truncation bound with one numpy
-comparison — this is what keeps the total sketch size near-linear without a
-per-center Python Dijkstra.  The classic per-center dict/heapq truncated
-Dijkstra is retained as :func:`build_bunches_reference` and cross-checked by
-the property tests; the two builders produce bit-identical bunch distances.
+scipy's ``min_only``).  The sketch builds the graph's CSR before the first
+of them, so scipy's matrix wraps the CSR's arrays and one arc sort serves
+both the pivots and the bunches.  Bunches come from a *level-batched,
+array-based* truncated relaxation (:func:`build_bunches_batched`) that grows
+flat ``(vertex, center, dist)`` arrays one frontier hop at a time, pruning
+every candidate against the level's cut ``d(v, A_{i+1}) - _EPS`` with one
+numpy comparison — this is what keeps the total sketch size near-linear
+without a per-center Python Dijkstra.
+
+Before a truncated level's hops, the builder also drops every arc
+``x -> y`` of weight ``w`` with ``w >= cut[y]``.  No such arc can ever pass:
+frontier distances are ``d >= 0``, and float addition is monotone, so
+``fl(d + w) >= w >= cut[y]``.  The pruned view keeps each row's arc order,
+so every hop's candidate arrays are exactly the unpruned ones minus
+candidates the cut would have rejected anyway — the output does not
+change by a bit, while the hops gather only the arcs that can still matter
+(a few percent of them at the lowest levels, whose bounds are smallest).
+
+The classic per-center dict/heapq truncated Dijkstra is retained as
+:func:`build_bunches_reference` and cross-checked by the property tests;
+the two builders produce bit-identical bunch distances.
 
 Bunch storage format (changed from the seed's ``list[dict]``): bunches are
 CSR-style flat arrays — ``bunch_indptr`` (``n + 1``), ``bunch_centers`` and
@@ -82,8 +95,9 @@ def build_bunches_batched(
     For each hierarchy level the truncated Dijkstras of *every* center in
     ``A_i \\ A_{i+1}`` advance together: the state is a flat sorted array of
     ``(vertex, center)`` keys with tentative distances, and one iteration
-    relaxes the whole frontier through the cached CSR adjacency with a
-    single ``np.repeat`` gather.  Candidates violating the
+    relaxes the whole frontier with a single ``np.repeat`` gather over the
+    level's pruned view of the cached CSR adjacency (only the arcs that
+    can pass the level's truncation; see the module notes).  Candidates violating the
     ``d(v, A_{i+1})`` truncation bound are dropped before the merge, so the
     state never exceeds the final bunch size plus one frontier hop.
 
@@ -132,6 +146,18 @@ def build_bunches_batched(
             all_dists.append(dists[order])
             continue
 
+        # Only arcs lighter than their head's cut can pass the truncation
+        # (see the module notes); the pruned view keeps each row's order.
+        cut = bound - _EPS
+        arcs = np.flatnonzero(csr.weights < cut[csr.indices])
+        v_indptr = np.searchsorted(arcs, csr.indptr)
+        v_heads = csr.indices[arcs]
+        v_weights = csr.weights[arcs]
+        membudget.note(
+            "distances.sketches.build_bunches_batched",
+            v_indptr.nbytes + v_heads.nbytes + v_weights.nbytes,
+        )
+
         # Settled/tentative state: keys = vertex * n + center, sorted.
         # ``levels`` arrays are ascending, so the initial keys w*(n+1) are too.
         bk = sources * nn + sources
@@ -141,14 +167,14 @@ def build_bunches_batched(
         front_d = np.zeros(sources.size)
 
         while front_v.size:
-            flat, reps = _gather_neighbors(csr, front_v)
+            flat, reps = _gather_neighbors(v_indptr, front_v)
             if flat.size == 0:
                 break
-            cand_v = csr.indices[flat]
+            cand_v = v_heads[flat]
             cand_c = front_c[reps]
-            cand_d = front_d[reps] + csr.weights[flat]
+            cand_d = front_d[reps] + v_weights[flat]
 
-            keep = cand_d < bound[cand_v] - _EPS
+            keep = cand_d < cut[cand_v]
             cand_v, cand_c, cand_d = cand_v[keep], cand_c[keep], cand_d[keep]
             if cand_v.size == 0:
                 break
@@ -202,8 +228,7 @@ def build_bunches_batched(
         dists = np.zeros(0)
 
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, verts + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(verts, minlength=n), out=indptr[1:])
     return indptr, centers, dists
 
 
@@ -285,6 +310,9 @@ class DistanceSketch:
         self.pivot = np.full((k + 1, n), -1, dtype=np.int64)
         self.pivot_dist[0] = 0.0
         self.pivot[0] = np.arange(n)
+        # Build the CSR first: the pivot Dijkstras' scipy matrix then wraps
+        # its arrays, so one arc sort serves the pivots and the bunches.
+        g.csr
         for i in range(1, k):
             ai = levels[i]
             if ai.size == 0 or g.m == 0:

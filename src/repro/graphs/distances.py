@@ -86,12 +86,14 @@ def _note_alloc(site: str, nbytes: int) -> None:
     membudget.note(site, nbytes)
 
 
-def _gather_neighbors(csr, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gather_neighbors(
+    indptr: np.ndarray, frontier: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Flat CSR indices of every arc leaving ``frontier``, plus the frontier
     slot each arc came from — one ``np.repeat``-based gather, no Python loop
     over frontier vertices."""
-    starts = csr.indptr[frontier]
-    counts = csr.indptr[frontier + 1] - starts
+    starts = indptr[frontier]
+    counts = indptr[frontier + 1] - starts
     total = int(counts.sum())
     if total == 0:
         empty = np.zeros(0, dtype=np.int64)
@@ -228,7 +230,7 @@ def bfs_hops(g: WeightedGraph, source: int) -> np.ndarray:
         level += 1
         # Gather all neighbors of the frontier at once (repeat-based gather
         # straight from the cached CSR — no per-vertex slicing).
-        flat, _ = _gather_neighbors(csr, frontier)
+        flat, _ = _gather_neighbors(csr.indptr, frontier)
         if flat.size == 0:
             break
         nbrs = np.unique(csr.indices[flat])
@@ -255,7 +257,7 @@ def k_hop_ball(g: WeightedGraph, source: int, hops: int, *, cap: int | None = No
     for _ in range(hops):
         # Scan order matches the old per-vertex loop: frontier order crossed
         # with CSR neighbor order, keeping only first occurrences.
-        flat, _ = _gather_neighbors(csr, frontier)
+        flat, _ = _gather_neighbors(csr.indptr, frontier)
         cand = csr.indices[flat]
         cand = cand[~seen[cand]]
         if cand.size == 0:
@@ -357,7 +359,7 @@ def _batched_capped_bfs_block(g: WeightedGraph, src: np.ndarray, hops: int, cap:
             window = min(window * 2, 1 << 20)
             sub_slot = f_slot[sub]
             sub_ppos = f_lpos[sub]
-            flat, rep = _gather_neighbors(csr, f_vtx[sub])
+            flat, rep = _gather_neighbors(csr.indptr, f_vtx[sub])
             if flat.size == 0:
                 continue
             cand_v = csr.indices[flat]

@@ -172,18 +172,20 @@ def dedupe_edges(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonicalize and remove parallel edges, keeping the minimum weight.
 
-    Ties are broken deterministically (stable sort), so results are
-    reproducible across runs.
+    The result is sorted by ``(lo, hi)``, and each pair keeps the minimum
+    of its copies' weights.  Tied copies are indistinguishable, so the
+    grouping sort (:func:`group_by`) need not be stable for the result to
+    be deterministic.  Endpoints are non-negative vertex ids, so
+    ``lo * (hi.max() + 1) + hi`` is an order-preserving pair key.
     """
     lo, hi, w = canonical_edges(u, v, w)
     if lo.size == 0:
         return lo, hi, w
-    # Sort by (lo, hi, w); the first edge of each (lo, hi) group is minimal.
-    order = np.lexsort((w, hi, lo))
-    lo, hi, w = lo[order], hi[order], w[order]
-    keep = np.ones(lo.size, dtype=bool)
-    keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    return lo[keep], hi[keep], w[keep]
+    key = lo.astype(np.int64, copy=False) * (np.int64(hi.max()) + 1) + hi
+    order, starts = group_by(key)
+    first = order[starts]
+    # fmin, not minimum: a NaN copy loses to a number, as it sorted last.
+    return lo[first], hi[first], np.fmin.reduceat(w[order], starts)
 
 
 @dataclass(frozen=True)
@@ -388,27 +390,41 @@ class WeightedGraph:
     # ------------------------------------------------------------------
     # Adjacency
     # ------------------------------------------------------------------
-    def _build_csr(self) -> _CSR:
+    def _arc_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every edge's two arcs in ``(tail, head)`` order:
+        ``(edge_ids, heads, indptr)``.
+
+        The arcs are sorted by the packed key ``tail * n + head``.  A simple
+        graph has distinct keys, so numpy's default argsort yields the
+        permutation a 2-key ``lexsort`` would.  ``edge_ids`` and ``heads``
+        give each sorted arc's edge and head, and ``indptr`` the tail
+        offsets.  :attr:`csr` and :meth:`to_scipy` both come from here, so
+        they share one layout.
+
+        int32 graphs keep int32 heads and indptr (2m + 1 always fits
+        there: int32 endpoints imply n < 2**31, and the arc count is bounded
+        by the edge arrays we could address to begin with).
+        """
         m = self.m
-        # Each undirected edge contributes two directed arcs.
-        src = np.concatenate([self._u, self._v])
-        dst = np.concatenate([self._v, self._u])
-        wt = np.concatenate([self._w, self._w])
-        eid = np.concatenate([np.arange(m), np.arange(m)])
-        order = np.lexsort((dst, src))
-        src, dst, wt, eid = src[order], dst[order], wt[order], eid[order]
-        # int32 graphs keep an int32 indptr too (2m + 1 always fits there:
-        # int32 endpoints imply n < 2**31, and the arc count is bounded by
-        # the edge arrays we could address to begin with).
+        tails = np.concatenate([self._u, self._v])
+        heads = np.concatenate([self._v, self._u])
+        keys = tails.astype(np.int64, copy=False) * np.int64(self.n) + heads
+        order = np.argsort(keys)
         idx_dtype = (
             np.int32
             if self._u.dtype == np.int32 and 2 * m < np.iinfo(np.int32).max
             else np.int64
         )
         indptr = np.zeros(self.n + 1, dtype=idx_dtype)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return _CSR(indptr=indptr, indices=dst, weights=wt, edge_ids=eid)
+        np.cumsum(np.bincount(tails, minlength=self.n), out=indptr[1:])
+        # Arc j < m reads edge j forwards, arc j >= m edge j - m backwards.
+        return np.where(order < m, order, order - m), heads[order], indptr
+
+    def _build_csr(self) -> _CSR:
+        """The CSR adjacency in :meth:`_arc_order`'s layout, which
+        :meth:`to_scipy` shares."""
+        eid, heads, indptr = self._arc_order()
+        return _CSR(indptr=indptr, indices=heads, weights=self._w[eid], edge_ids=eid)
 
     @property
     def csr(self) -> _CSR:
@@ -458,12 +474,24 @@ class WeightedGraph:
         entry point (``sssp``/``apsp``/``pairwise_distances``/stretch checks)
         hits this, so repeated calls must not rebuild the matrix.  Callers
         must treat the returned matrix as read-only.
+
+        The matrix has :meth:`_arc_order`'s layout, the same as :attr:`csr`.
+        When :attr:`csr` is already cached its arrays are wrapped (scipy
+        downcasts the indices to int32); otherwise the triplet comes
+        straight from the arc order and no :class:`_CSR` is built, so a
+        serving process that only runs Dijkstras never holds the int64
+        edge ids the bunch builder needs.
         """
         if self._scipy is None:
-            row = np.concatenate([self._u, self._v])
-            col = np.concatenate([self._v, self._u])
-            dat = np.concatenate([self._w, self._w])
-            self._scipy = sparse.csr_matrix((dat, (row, col)), shape=(self.n, self.n))
+            if self._csr is not None:
+                c = self._csr
+                indptr, indices, data = c.indptr, c.indices, c.weights
+            else:
+                eid, indices, indptr = self._arc_order()
+                data = self._w[eid]
+            self._scipy = sparse.csr_matrix(
+                (data, indices, indptr), shape=(self.n, self.n)
+            )
         return self._scipy
 
     def to_networkx(self):

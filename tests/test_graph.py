@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.graphs import WeightedGraph, canonical_edges, dedupe_edges
 from repro.graphs.graph import group_by, sorted_unique
+from tests.strategies import mixed_weight_graph
 
 
 class TestCanonicalEdges:
@@ -220,3 +224,160 @@ class TestGroupingKernel:
         got = sorted_unique(x)
         assert got.dtype == x.dtype
         assert np.array_equal(got, np.unique(x))
+
+
+def _csr_reference(g: WeightedGraph):
+    """The adjacency as a 2-key lexsort of the doubled arc list builds it."""
+    m = g.m
+    src = np.concatenate([g.edges_u, g.edges_v])
+    dst = np.concatenate([g.edges_v, g.edges_u])
+    wt = np.concatenate([g.edges_w, g.edges_w])
+    eid = np.concatenate([np.arange(m), np.arange(m)])
+    order = np.lexsort((dst, src))
+    idx_dtype = np.int32 if g.edges_u.dtype == np.int32 else np.int64
+    indptr = np.zeros(g.n + 1, dtype=idx_dtype)
+    np.add.at(indptr, src[order] + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, dst[order], wt[order], eid[order]
+
+
+def _as_int32(g: WeightedGraph) -> WeightedGraph:
+    return WeightedGraph.from_canonical(
+        g.n, g.edges_u.astype(np.int32), g.edges_v.astype(np.int32), g.edges_w
+    )
+
+
+def _graph_variants(g: WeightedGraph):
+    """``g`` built through the constructor, adopted via ``from_canonical``,
+    and adopted with int32 endpoints."""
+    yield WeightedGraph(g.n, g.edges_u, g.edges_v, g.edges_w)
+    yield WeightedGraph.from_canonical(g.n, g.edges_u, g.edges_v, g.edges_w)
+    yield _as_int32(g)
+
+
+_ARC_CASES = [
+    WeightedGraph.from_edges(6, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 2.5), (4, 5, 3.0)]),
+    WeightedGraph(4, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)),
+    WeightedGraph(0, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)),
+    WeightedGraph.from_edges(9, [(8, 0, 1.0), (3, 5, 1.0)]),  # isolated middle
+]
+
+
+class TestArcOrder:
+    """CSR and the scipy matrix share one ``(tail, head)`` arc order."""
+
+    @staticmethod
+    def _check_csr(g: WeightedGraph):
+        c = g.csr
+        for got, want in zip(
+            (c.indptr, c.indices, c.weights, c.edge_ids), _csr_reference(g)
+        ):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @staticmethod
+    def _check_scipy(g: WeightedGraph, fresh: WeightedGraph):
+        ref = sparse.csr_matrix(
+            (
+                np.concatenate([g.edges_w, g.edges_w]),
+                (
+                    np.concatenate([g.edges_u, g.edges_v]),
+                    np.concatenate([g.edges_v, g.edges_u]),
+                ),
+            ),
+            shape=(g.n, g.n),
+        )
+        got = fresh.to_scipy()
+        assert got.shape == ref.shape
+        for a, b in zip((got.indptr, got.indices, got.data), (ref.indptr, ref.indices, ref.data)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case", range(len(_ARC_CASES)))
+    def test_csr_matches_lexsort_reference_on_edge_cases(self, case):
+        for g in _graph_variants(_ARC_CASES[case]):
+            self._check_csr(g)
+
+    @given(g=mixed_weight_graph(max_n=40, max_m=200))
+    @settings(max_examples=40, deadline=None)
+    def test_csr_matches_lexsort_reference(self, g):
+        for h in _graph_variants(g):
+            self._check_csr(h)
+
+    @given(g=mixed_weight_graph(max_n=40, max_m=200), csr_first=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_to_scipy_matches_coo_build(self, g, csr_first):
+        for h in _graph_variants(g):
+            if csr_first:
+                h.csr
+            self._check_scipy(g, h)
+
+    @pytest.mark.parametrize("case", range(len(_ARC_CASES)))
+    def test_to_scipy_matches_coo_build_on_edge_cases(self, case):
+        g = _ARC_CASES[case]
+        for csr_first in (False, True):
+            for h in _graph_variants(g):
+                if csr_first:
+                    h.csr
+                self._check_scipy(g, h)
+
+    def test_to_scipy_builds_no_csr(self, er_weighted):
+        for g in _graph_variants(er_weighted):
+            g.to_scipy()
+            assert g._csr is None
+
+    def test_to_scipy_wraps_a_cached_csr(self, er_weighted):
+        g = WeightedGraph.from_canonical(
+            er_weighted.n, er_weighted.edges_u, er_weighted.edges_v, er_weighted.edges_w
+        )
+        c = g.csr
+        assert np.shares_memory(g.to_scipy().data, c.weights)
+
+
+def _dedupe_reference(u, v, w):
+    """Parallel edges collapsed by a 3-key ``(lo, hi, w)`` lexsort."""
+    lo, hi, w = canonical_edges(u, v, w)
+    if lo.size == 0:
+        return lo, hi, w
+    order = np.lexsort((w, hi, lo))
+    lo, hi, w = lo[order], hi[order], w[order]
+    keep = np.ones(lo.size, dtype=bool)
+    keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    return lo[keep], hi[keep], w[keep]
+
+
+class TestDedupeMatchesLexsortReference:
+    @given(
+        n=st.integers(2, 30),
+        m=st.integers(0, 200),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.booleans(),
+        int32=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_multigraphs(self, n, m, seed, ties, int32):
+        rng = np.random.default_rng(seed)
+        u = rng.integers(0, n, m)
+        v = rng.integers(0, n, m)
+        u, v = u[u != v], v[u != v]
+        # Few distinct weights give tied parallel copies; many give distinct.
+        w = rng.integers(1, 3 if ties else 10**6, u.size).astype(np.float64)
+        if int32:
+            u, v = u.astype(np.int32), v.astype(np.int32)
+        got = dedupe_edges(u, v, w)
+        want = _dedupe_reference(u, v, w)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    def test_reversed_endpoints_and_parallel_copies(self):
+        u = np.array([5, 2, 1, 2, 5, 0, 3], dtype=np.int32)
+        v = np.array([1, 0, 5, 0, 2, 2, 4], dtype=np.int32)
+        w = np.array([4.0, 2.0, 3.0, 2.0, 1.0, 7.0, 0.5])
+        for args in ((u, v, w), (u.astype(np.int64), v.astype(np.int64), w)):
+            got = dedupe_edges(*args)
+            want = _dedupe_reference(*args)
+            assert [a.tolist() for a in got] == [[0, 1, 2, 3], [2, 5, 5, 4], [2.0, 3.0, 1.0, 0.5]]
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
