@@ -29,10 +29,6 @@ Gates (``--suite provider`` in scripts/bench_snapshot.py):
 * ``throughput_gate`` — auto throughput >= the slowest fixed backend
   (full scale only; smoke timings are noise).
 * ``identity_gate`` — sketch-tier bit-identity (every scale).
-
-Run directly::
-
-    PYTHONPATH=src:benchmarks python benchmarks/bench_provider.py [--smoke]
 """
 
 from __future__ import annotations
@@ -51,8 +47,10 @@ from repro.registry import get_algorithm
 from repro.service import ArtifactStore, PlanTarget, QueryEngine
 
 __all__ = [
-    "run_provider_bench",
+    "run",
     "format_table",
+    "gates",
+    "headline",
     "stretch_gate",
     "throughput_gate",
     "identity_gate",
@@ -135,7 +133,7 @@ def _stretch_stats(answers: np.ndarray, truth: np.ndarray) -> dict:
     }
 
 
-def run_provider_bench(*, smoke: bool = False) -> dict:
+def run(*, smoke: bool = False) -> dict:
     """Execute the protocol; returns the JSON-ready record."""
     cfg = SMOKE_CONFIG if smoke else FULL_CONFIG
     rng = coerce_rng(cfg["seed"])
@@ -314,6 +312,22 @@ def identity_gate(record: dict):
     return False, ["sketch_tier_identical: FAILED"]
 
 
+def gates(record: dict, committed: dict | None = None) -> list[tuple[str, bool, list[str]]]:
+    return [
+        ("stretch gate", *stretch_gate(record)),
+        ("throughput gate", *throughput_gate(record)),
+        ("identity gate", *identity_gate(record)),
+    ]
+
+
+def headline(record: dict) -> dict[str, float | None]:
+    out: dict[str, float | None] = {}
+    for name, wl in sorted(record["workloads"].items()):
+        out[f"{name} auto qps"] = wl["auto"]["qps"]
+        out[f"{name} auto max stretch"] = wl["auto"]["stretch"]["max"]
+    return out
+
+
 def format_table(record: dict) -> str:
     gr = record["graph"]
     lines = [
@@ -342,19 +356,3 @@ def format_table(record: dict) -> str:
     ident = record["identity"]
     lines.append(f"  identity: sketch_tier_identical={ident['sketch_tier_identical']}")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    import argparse
-    import json
-
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--smoke", action="store_true", help="tiny-n smoke run")
-    args = ap.parse_args()
-    rec = run_provider_bench(smoke=args.smoke)
-    print(format_table(rec))
-    for gate in (stretch_gate, throughput_gate, identity_gate):
-        ok, reasons = gate(rec)
-        for reason in reasons:
-            print(f"{gate.__name__}: {reason}")
-    print(json.dumps(rec, indent=2, sort_keys=True))

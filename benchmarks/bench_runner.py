@@ -12,9 +12,8 @@ Protocol (see EXPERIMENTS.md):
 
 The speedup number is only meaningful on multi-core hardware; the record
 carries ``cpu_count`` so a single-core container's ~1x does not read as a
-regression.  Run directly::
-
-    PYTHONPATH=src python benchmarks/bench_runner.py [--smoke]
+regression.  Run it with
+``python scripts/bench_snapshot.py --suite runner [--smoke]``.
 """
 
 from __future__ import annotations
@@ -28,9 +27,12 @@ from repro.runner import ExperimentPlan, run_plan
 
 __all__ = [
     "reference_plan",
-    "run_runner_bench",
+    "run",
     "format_table",
+    "gates",
+    "headline",
     "speedup_gate",
+    "resume_gate",
     "multi_core_available",
 ]
 
@@ -47,7 +49,7 @@ def multi_core_available() -> bool:
 def speedup_gate(record: dict, *, minimum: float = SPEEDUP_GATE):
     """Evaluate the parallel-speedup gate on a bench record.
 
-    Returns ``(ok, reason)`` where ``reason`` always states *why* —
+    Returns ``(ok, reasons)`` where the reasons always state *why* —
     including the explicit single-CPU skip, so a 0.6x number recorded on a
     1-core container never reads as a regression.
     """
@@ -55,16 +57,25 @@ def speedup_gate(record: dict, *, minimum: float = SPEEDUP_GATE):
     speedup = record.get("speedup", 0.0)
     jobs = record.get("config", {}).get("jobs", "?")
     if cpus < 2:
-        return True, (
+        return True, [
             f"skipped: single-CPU machine (cpu_count={cpus}) cannot exhibit a "
             f"jobs={jobs} speedup; recorded {speedup:.2f}x is not a regression"
-        )
+        ]
     if speedup >= minimum:
-        return True, f"speedup {speedup:.2f}x meets the {minimum:.1f}x gate"
-    return False, (
+        return True, [f"speedup {speedup:.2f}x meets the {minimum:.1f}x gate"]
+    return False, [
         f"speedup {speedup:.2f}x below the {minimum:.1f}x gate "
         f"(cpu_count={cpus}, jobs={jobs})"
-    )
+    ]
+
+
+def resume_gate(record: dict):
+    """Re-running a finished plan must execute zero trials (every scale)."""
+    executed = record["resume"]["executed"]
+    if executed == 0:
+        return True, [f"resume executed 0 trials ({record['resume']['skipped']} skipped)"]
+    return False, [f"resume re-executed {executed} trials"]
+
 
 FULL_CONFIG = {
     "graphs": ["er:2048:0.01", "geo:2048:0.06", "cliques:64:16"],
@@ -99,7 +110,7 @@ def _timed_run(plan: ExperimentPlan, *, jobs: int, out_dir: str):
     return time.perf_counter() - start, result
 
 
-def run_runner_bench(*, smoke: bool = False, jobs: int = 4) -> dict:
+def run(*, smoke: bool = False, jobs: int = 4) -> dict:
     """Execute the protocol; returns the JSON-ready record."""
     plan = reference_plan(smoke=smoke)
     num_trials = len(plan.trials())
@@ -118,9 +129,8 @@ def run_runner_bench(*, smoke: bool = False, jobs: int = 4) -> dict:
             raise RuntimeError(f"{errors} trials errored in the serial run")
         if serial_res.executed != num_trials or parallel_res.executed != num_trials:
             raise RuntimeError("cold runs did not execute every trial")
-        # A resume regression (executed != 0) is recorded, not raised: the
-        # snapshot gate in scripts/bench_snapshot.py turns it into a
-        # warning + nonzero exit while still writing the artifact.
+        # A resume regression (executed != 0) is recorded, not raised:
+        # resume_gate fails on it while the artifact is still written.
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -164,21 +174,13 @@ def format_table(record: dict) -> str:
     return "\n".join(lines)
 
 
-def test_runner_bench_smoke():
-    """Tier-1 guard: the protocol holds at smoke scale (resume executes 0)."""
-    record = run_runner_bench(smoke=True, jobs=2)
-    assert record["num_trials"] == 18
-    assert record["resume"]["executed"] == 0
-    assert record["resume"]["skipped"] == 18
+def gates(record: dict, committed: dict | None = None) -> list[tuple[str, bool, list[str]]]:
+    if record["config"]["smoke"]:
+        speedup = (True, ["skipped: smoke-scale trials are too small to time a speedup"])
+    else:
+        speedup = speedup_gate(record)
+    return [("speedup gate", *speedup), ("resume gate", *resume_gate(record))]
 
 
-if __name__ == "__main__":
-    import argparse
-    import json
-
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--smoke", action="store_true", help="tiny-n smoke run")
-    args = ap.parse_args()
-    rec = run_runner_bench(smoke=args.smoke)
-    print(format_table(rec))
-    print(json.dumps(rec, indent=2, sort_keys=True))
+def headline(record: dict) -> dict[str, float | None]:
+    return {"jobs speedup": record["speedup"], "resume executed": record["resume"]["executed"]}

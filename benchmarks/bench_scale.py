@@ -52,9 +52,8 @@ point (``gnm:200000:1000000``), where the legacy recipe pays hundreds of
 MB and the shared-memory engine pays ~2 MB, and the budget-gated
 million-node cell (``gnm:1000000:4000000``).
 
-Run directly::
-
-    PYTHONPATH=src python benchmarks/bench_scale.py [--smoke] [--points million]
+Run it with ``python scripts/bench_snapshot.py --suite scale [--smoke]``;
+``run(points=["million"])`` runs a subset of the points.
 """
 
 from __future__ import annotations
@@ -78,8 +77,10 @@ from repro.service import ArtifactStore, QueryEngine
 from repro.service.mem import peak_rss_bytes, process_memory
 
 __all__ = [
-    "run_scale_bench",
+    "run",
     "format_table",
+    "gates",
+    "headline",
     "scale_gate",
     "identity_gate",
     "budget_gate",
@@ -548,7 +549,7 @@ def _run_point(name: str, cfg: dict, seed: int, src_dir: str, work: str) -> dict
     }
 
 
-def run_scale_bench(*, smoke: bool = False, points: list[str] | None = None) -> dict:
+def run(*, smoke: bool = False, points: list[str] | None = None) -> dict:
     """Execute the protocol at every measurement point; JSON-ready record.
 
     ``points`` selects a subset of the config's points by name (e.g.
@@ -698,6 +699,30 @@ def throughput_gate(record: dict, *, minimum: float = THROUGHPUT_GATE):
     return False, [line + " — BELOW GATE"]
 
 
+def gates(record: dict, committed: dict | None = None) -> list[tuple[str, bool, list[str]]]:
+    return [
+        ("scale gate", *scale_gate(record)),
+        ("identity gate", *identity_gate(record)),
+        ("budget gate", *budget_gate(record)),
+        ("throughput gate", *throughput_gate(record)),
+    ]
+
+
+def headline(record: dict) -> dict[str, float | None]:
+    """Worker overhead (pool points) or peak RSS vs budget (budget points),
+    plus build throughput, per point."""
+    out: dict[str, float | None] = {}
+    for name, point in sorted(record["points"].items()):
+        if "memory" in point:
+            out[f"{name} worker overhead_ratio"] = point["memory"]["overhead_ratio"]
+            out[f"{name} legacy overhead_ratio"] = point["memory"]["legacy_overhead_ratio"]
+        else:
+            out[f"{name} peak_rss_bytes"] = point["build"]["peak_rss_bytes"]
+            out[f"{name} budget_bytes"] = point["build"]["budget_bytes"]
+        out[f"{name} build edges_per_s"] = point["build"]["edges_per_s"]
+    return out
+
+
 def _mb(x) -> str:
     return "-" if x is None else f"{x / 2**20:.1f}MB"
 
@@ -738,30 +763,3 @@ def format_table(record: dict) -> str:
             f"identical={srv['sharded_identical']}",
         ]
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    import argparse
-
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--smoke", action="store_true", help="tiny-n smoke run")
-    ap.add_argument(
-        "--points",
-        default=None,
-        help="comma-separated subset of measurement points to run "
-        "(e.g. --points million for just the budget-gated cell)",
-    )
-    args = ap.parse_args()
-    rec = run_scale_bench(
-        smoke=args.smoke,
-        points=args.points.split(",") if args.points else None,
-    )
-    print(format_table(rec))
-    rc = 0
-    for gate in (scale_gate, identity_gate, budget_gate, throughput_gate):
-        ok, reasons = gate(rec)
-        for reason in reasons:
-            print(f"{gate.__name__}: {reason}", file=sys.stdout if ok else sys.stderr)
-        rc |= 0 if ok else 1
-    print(json.dumps(rec, indent=2, sort_keys=True))
-    raise SystemExit(rc)

@@ -28,9 +28,9 @@ process (and on CI one core), so absolute qps undercounts what a
 dedicated server box would do; the *ratios* (micro vs naive at identical
 overheads) are the defended signal.
 
-Run directly::
-
-    PYTHONPATH=src python benchmarks/bench_server.py [--smoke]
+Run it with ``python scripts/bench_snapshot.py --suite server [--smoke]``;
+the snapshot driver gates a run against the record already at its output
+path with :func:`baseline_gate`.
 """
 
 from __future__ import annotations
@@ -51,8 +51,10 @@ from repro.service.shm import shm_segments
 from bench_service import zipf_sources
 
 __all__ = [
-    "run_server_bench",
+    "run",
     "format_table",
+    "gates",
+    "headline",
     "speedup_gate",
     "identity_gate",
     "drain_gate",
@@ -272,7 +274,7 @@ async def _drain_check(store: ArtifactStore, key: str, cfg: dict) -> dict:
     }
 
 
-def run_server_bench(*, smoke: bool = False) -> dict:
+def run(*, smoke: bool = False) -> dict:
     """Execute the protocol; returns the JSON-ready record."""
     cfg = SMOKE_CONFIG if smoke else FULL_CONFIG
     rng = coerce_rng(cfg["seed"])
@@ -352,23 +354,23 @@ def run_server_bench(*, smoke: bool = False) -> dict:
 def speedup_gate(record: dict, *, minimum: float = SPEEDUP_GATE):
     """The >= 5x micro-vs-naive throughput gate (full scale only).
 
-    Returns ``(ok, reason)``; smoke-scale runs skip with an explicit
+    Returns ``(ok, reasons)``; smoke-scale runs skip with an explicit
     reason — at tiny n and a few hundred requests the duel measures
     event-loop noise, not the batching mechanism.
     """
     speedup = record.get("duel", {}).get("speedup", 0.0)
     if record.get("smoke"):
-        return True, (
+        return True, [
             f"skipped: smoke-scale open-loop timings are noise "
             f"(recorded {speedup:.2f}x)"
-        )
+        ]
     if speedup >= minimum:
-        return True, (
+        return True, [
             f"micro-batched {record['duel']['micro_qps']:,.0f} q/s vs naive "
             f"{record['duel']['naive_qps']:,.0f} q/s = {speedup:.2f}x, meets "
             f"the {minimum:.0f}x gate"
-        )
-    return False, f"micro vs naive speedup {speedup:.2f}x below the {minimum:.0f}x gate"
+        ]
+    return False, [f"micro vs naive speedup {speedup:.2f}x below the {minimum:.0f}x gate"]
 
 
 def identity_gate(record: dict):
@@ -411,29 +413,49 @@ def drain_gate(record: dict):
 def baseline_gate(record: dict, baseline: dict, *, max_slowdown: float = 2.0):
     """Compare top-rate achieved qps against a committed record.
 
-    Skips (with a reason) when the scales differ — CI runs smoke against
-    the committed full-scale BENCH_server.json, where absolute qps is not
-    comparable; the full-vs-full path fails on a > ``max_slowdown``
-    regression.
+    Skips (with a reason) when the scales differ — a smoke run against the
+    committed full-scale BENCH_server.json has no comparable absolute qps;
+    the full-vs-full path fails on a > ``max_slowdown`` regression.
     """
     if record.get("smoke") != baseline.get("smoke"):
-        return True, (
+        return True, [
             "skipped: scale mismatch (smoke vs full records are not "
             "qps-comparable); structural gates still apply"
-        )
-    old = max(
-        (p.get("achieved_qps", 0.0) for p in baseline.get("sweep", [])), default=0.0
-    )
-    new = max((p.get("achieved_qps", 0.0) for p in record.get("sweep", [])), default=0.0)
+        ]
+    old = _top_qps(baseline)
+    new = _top_qps(record)
     if old <= 0:
-        return True, "skipped: baseline records no achieved qps"
+        return True, ["skipped: baseline records no achieved qps"]
     ratio = old / max(new, 1e-9)
     if ratio > max_slowdown:
-        return False, (
+        return False, [
             f"achieved qps regressed {ratio:.2f}x "
             f"({old:,.0f} -> {new:,.0f} q/s, gate {max_slowdown:.1f}x)"
-        )
-    return True, f"achieved qps {old:,.0f} -> {new:,.0f} q/s ({ratio:.2f}x of gate {max_slowdown:.1f}x)"
+        ]
+    return True, [
+        f"achieved qps {old:,.0f} -> {new:,.0f} q/s ({ratio:.2f}x of gate {max_slowdown:.1f}x)"
+    ]
+
+
+def _top_qps(record: dict) -> float:
+    return max((p.get("achieved_qps", 0.0) for p in record.get("sweep", [])), default=0.0)
+
+
+def gates(record: dict, committed: dict | None = None) -> list[tuple[str, bool, list[str]]]:
+    """Speedup, identity and drain gates; the baseline gate runs only
+    against a ``committed`` record."""
+    out = [
+        ("speedup gate", *speedup_gate(record)),
+        ("identity gate", *identity_gate(record)),
+        ("drain gate", *drain_gate(record)),
+    ]
+    if committed is not None:
+        out.append(("baseline gate", *baseline_gate(record, committed)))
+    return out
+
+
+def headline(record: dict) -> dict[str, float | None]:
+    return {"duel speedup": record["duel"]["speedup"], "top achieved_qps": _top_qps(record)}
 
 
 def format_table(record: dict) -> str:
@@ -470,36 +492,3 @@ def format_table(record: dict) -> str:
         f"shm_clean={dr['shm_clean']}"
     )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    import argparse
-    import json
-
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--smoke", action="store_true", help="tiny-n smoke run")
-    ap.add_argument("--out", default=None, help="write the record JSON here")
-    ap.add_argument(
-        "--baseline", default=None, help="committed BENCH_server.json to gate against"
-    )
-    args = ap.parse_args()
-    rec = run_server_bench(smoke=args.smoke)
-    print(format_table(rec))
-    rc = 0
-    gates = [speedup_gate(rec, ), identity_gate(rec), drain_gate(rec)]
-    if args.baseline:
-        with open(args.baseline) as fh:
-            gates.append(baseline_gate(rec, json.load(fh)))
-    for ok, reasons in gates:
-        if isinstance(reasons, str):
-            reasons = [reasons]
-        for reason in reasons:
-            print(f"gate: {reason}")
-        rc |= 0 if ok else 1
-    if args.out:
-        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-        with open(args.out, "w") as fh:
-            json.dump(rec, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    raise SystemExit(rc)

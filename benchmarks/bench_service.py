@@ -20,9 +20,7 @@ Protocol (see EXPERIMENTS.md):
    disk must answer ``query_many`` bit-identically to the freshly built
    objects.
 
-Run directly::
-
-    PYTHONPATH=src python benchmarks/bench_service.py [--smoke]
+Run it with ``python scripts/bench_snapshot.py --suite service [--smoke]``.
 """
 
 from __future__ import annotations
@@ -40,8 +38,10 @@ from repro.graphs.specs import GraphSpec
 from repro.service import ArtifactStore, QueryEngine
 
 __all__ = [
-    "run_service_bench",
+    "run",
     "format_table",
+    "gates",
+    "headline",
     "thrash_gate",
     "identity_gate",
     "zipf_sources",
@@ -149,7 +149,7 @@ def _single_query_wall(server, pairs: np.ndarray) -> float:
     return time.perf_counter() - start
 
 
-def run_service_bench(*, smoke: bool = False) -> dict:
+def run(*, smoke: bool = False) -> dict:
     """Execute the protocol; returns the JSON-ready record."""
     cfg = SMOKE_CONFIG if smoke else FULL_CONFIG
     rng = coerce_rng(cfg["seed"])
@@ -271,19 +271,19 @@ def run_service_bench(*, smoke: bool = False) -> dict:
 def thrash_gate(record: dict, *, minimum: float = THRASH_GATE):
     """The >= 5x LRU-vs-clear() acceptance gate (full scale only).
 
-    Returns ``(ok, reason)``; smoke-scale runs skip with an explicit
+    Returns ``(ok, reasons)``; smoke-scale runs skip with an explicit
     reason — at tiny n the Dijkstra rows are microseconds and the duel
     measures timer noise, not the cache policy.
     """
     speedup = record.get("thrash", {}).get("speedup", 0.0)
     if record.get("smoke"):
-        return True, (
+        return True, [
             f"skipped: smoke-scale timings are noise (recorded {speedup:.2f}x; "
             f"rows_reduction {record.get('thrash', {}).get('rows_reduction')}x)"
-        )
+        ]
     if speedup >= minimum:
-        return True, f"LRU vs clear() speedup {speedup:.2f}x meets the {minimum:.0f}x gate"
-    return False, f"LRU vs clear() speedup {speedup:.2f}x below the {minimum:.0f}x gate"
+        return True, [f"LRU vs clear() speedup {speedup:.2f}x meets the {minimum:.0f}x gate"]
+    return False, [f"LRU vs clear() speedup {speedup:.2f}x below the {minimum:.0f}x gate"]
 
 
 def identity_gate(record: dict):
@@ -308,6 +308,20 @@ def identity_gate(record: dict):
     return ok, reasons
 
 
+def gates(record: dict, committed: dict | None = None) -> list[tuple[str, bool, list[str]]]:
+    return [
+        ("thrash gate", *thrash_gate(record)),
+        ("identity gate", *identity_gate(record)),
+    ]
+
+
+def headline(record: dict) -> dict[str, float | None]:
+    return {
+        "thrash speedup": record["thrash"]["speedup"],
+        "zipf qps": record["batched"]["zipf_qps"],
+    }
+
+
 def format_table(record: dict) -> str:
     t = record["thrash"]
     b = record["batched"]
@@ -328,15 +342,3 @@ def format_table(record: dict) -> str:
         f"sketch_roundtrip={e['sketch_roundtrip_identical']}",
     ]
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    import argparse
-    import json
-
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--smoke", action="store_true", help="tiny-n smoke run")
-    args = ap.parse_args()
-    rec = run_service_bench(smoke=args.smoke)
-    print(format_table(rec))
-    print(json.dumps(rec, indent=2, sort_keys=True))

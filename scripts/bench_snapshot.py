@@ -1,43 +1,20 @@
 #!/usr/bin/env python
 """Dump benchmark timings to the ``BENCH_*.json`` trajectory snapshots.
 
-This is the trajectory-tracking entry point: each run overwrites the JSON
-snapshot(s) at the repo root, so the perf numbers future PRs must defend are
-always one command away::
+Each run overwrites the JSON snapshot(s) at the repo root, so the perf
+numbers future changes must defend are always one command away::
 
     python scripts/bench_snapshot.py                    # distance-layer suite
-    python scripts/bench_snapshot.py --suite runner     # experiment-runner suite
-    python scripts/bench_snapshot.py --suite suite      # cross-algorithm suite
-    python scripts/bench_snapshot.py --suite full       # all four + trajectory diff
+    python scripts/bench_snapshot.py --suite runner     # one named suite
+    python scripts/bench_snapshot.py --suite full       # every suite + trajectory diff
     python scripts/bench_snapshot.py --smoke            # tiny-n sanity run
 
-Suites and their artifacts:
-
-* ``distance`` -> ``BENCH_distance_layer.json`` (sketch/pairwise speedups)
-* ``runner``   -> ``BENCH_runner.json`` (sweep parallel speedup + resume)
-* ``suite``    -> ``BENCH_suite.json`` (all registered algorithms +
-  hot-loop before/after harness; see ``repro bench``)
-* ``service``  -> ``BENCH_service.json`` (query-throughput workloads: the
-  LRU-vs-clear() thrash duel, batched q/s, sharded + persistence
-  bit-identity; see ``repro query`` and benchmarks/bench_service.py)
-* ``scale``    -> ``BENCH_scale.json`` (memory scaling of the zero-copy
-  serving path: peak RSS per phase, the O(graph + eps) worker-memory
-  gate vs the legacy per-worker-copy recipe, mmap vs eager loads, plus
-  the budget-gated n=10^6 cell — build+query under a declared
-  ``REPRO_MEM_BUDGET`` with a per-edge throughput gate; see
-  benchmarks/bench_scale.py)
-* ``server``   -> ``BENCH_server.json`` (open-loop load on the concurrent
-  micro-batching socket server: offered-rate sweep with tail latencies,
-  the >= 5x micro-vs-naive duel, reply bit-identity, graceful-drain shm
-  hygiene; see ``repro serve --socket`` and benchmarks/bench_server.py)
-* ``provider`` -> ``BENCH_provider.json`` (the accuracy/latency Pareto
-  frontier of the exact/oracle/sketch/tiered backends plus the auto
-  planner on zipf + uniform workloads: stretch-bound, throughput, and
-  sketch-tier identity gates; see ``repro query --backend`` and
-  benchmarks/bench_provider.py)
-
-``--suite full`` regenerates every snapshot in one invocation and prints
-a compact trajectory diff against the previously committed files.
+Every suite module (the ``SUITES`` table below; protocols in
+EXPERIMENTS.md) exports ``run(smoke=...)``, ``format_table(record)``,
+``gates(record, committed)`` and ``headline(record)``, and this script is
+one loop over them: run, print the table, write the record, evaluate the
+gates (baseline gates compare against the record the run overwrites),
+and, for ``--suite full``, print each headline number as old -> new.
 
 No PYTHONPATH fiddling needed — the script wires up ``src`` and
 ``benchmarks`` itself.
@@ -46,6 +23,7 @@ No PYTHONPATH fiddling needed — the script wires up ``src`` and
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -54,24 +32,16 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
 
-OUT_PATHS = {
-    "distance": "BENCH_distance_layer.json",
-    "runner": "BENCH_runner.json",
-    "suite": "BENCH_suite.json",
-    "service": "BENCH_service.json",
-    "scale": "BENCH_scale.json",
-    "server": "BENCH_server.json",
-    "provider": "BENCH_provider.json",
+#: suite name -> (module, default snapshot file at the repo root)
+SUITES = {
+    "distance": ("bench_distance_layer", "BENCH_distance_layer.json"),
+    "runner": ("bench_runner", "BENCH_runner.json"),
+    "suite": ("repro.bench", "BENCH_suite.json"),
+    "service": ("bench_service", "BENCH_service.json"),
+    "scale": ("bench_scale", "BENCH_scale.json"),
+    "server": ("bench_server", "BENCH_server.json"),
+    "provider": ("bench_provider", "BENCH_provider.json"),
 }
-
-
-def _write(record: dict, path: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {path}")
 
 
 def _load_existing(path: str) -> dict | None:
@@ -82,253 +52,18 @@ def _load_existing(path: str) -> dict | None:
         return None
 
 
-def _run_distance(args, out_path: str) -> tuple[int, dict]:
-    from bench_distance_layer import format_table, run_distance_layer_bench
-
-    record = run_distance_layer_bench(smoke=args.smoke)
-    print(format_table(record))
-    _write(record, out_path)
-
-    if not args.smoke and record["sketch_preprocess"]["speedup"] < 5.0:
-        print("WARNING: sketch preprocessing speedup fell below the 5x gate",
-              file=sys.stderr)
-        return 1, record
-    return 0, record
+def _write(record: dict, path: str) -> None:
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path}")
 
 
-def _run_runner(args, out_path: str) -> tuple[int, dict]:
-    from bench_runner import format_table, run_runner_bench, speedup_gate
-
-    record = run_runner_bench(smoke=args.smoke)
-    print(format_table(record))
-    _write(record, out_path)
-
-    rc = 0
-    if record["resume"]["executed"] != 0:
-        print("WARNING: sweep resume re-executed trials", file=sys.stderr)
-        rc = 1
-    if not args.smoke:
-        ok, reason = speedup_gate(record)
-        print(f"speedup gate: {reason}", file=sys.stderr if not ok else sys.stdout)
-        if not ok:
-            rc = 1
-    return rc, record
-
-
-def _run_suite(args, out_path: str) -> tuple[int, dict]:
-    from repro.bench import format_table, hot_loop_gates, run_suite
-
-    record = run_suite(smoke=args.smoke)
-    print(format_table(record))
-    _write(record, out_path)
-
-    ok, reasons = hot_loop_gates(record)
-    for reason in reasons:
-        print(f"hot-loop gate: {reason}", file=sys.stdout if ok else sys.stderr)
-    return (0 if ok else 1), record
-
-
-def _run_service(args, out_path: str) -> tuple[int, dict]:
-    from bench_service import format_table, identity_gate, run_service_bench, thrash_gate
-
-    record = run_service_bench(smoke=args.smoke)
-    print(format_table(record))
-    _write(record, out_path)
-
-    rc = 0
-    ok, reason = thrash_gate(record)
-    print(f"thrash gate: {reason}", file=sys.stdout if ok else sys.stderr)
-    if not ok:
-        rc = 1
-    ok, reasons = identity_gate(record)
-    for reason in reasons:
-        print(f"identity gate: {reason}", file=sys.stdout if ok else sys.stderr)
-    if not ok:
-        rc = 1
-    return rc, record
-
-
-def _run_scale(args, out_path: str) -> tuple[int, dict]:
-    from bench_scale import (
-        budget_gate,
-        format_table,
-        identity_gate,
-        run_scale_bench,
-        scale_gate,
-        throughput_gate,
-    )
-
-    record = run_scale_bench(smoke=args.smoke)
-    print(format_table(record))
-    _write(record, out_path)
-
-    rc = 0
-    for gate in (scale_gate, identity_gate, budget_gate, throughput_gate):
-        ok, reasons = gate(record)
-        for reason in reasons:
-            print(f"{gate.__name__}: {reason}", file=sys.stdout if ok else sys.stderr)
-        if not ok:
-            rc = 1
-    return rc, record
-
-
-def _run_server(args, out_path: str) -> tuple[int, dict]:
-    from bench_server import (
-        drain_gate,
-        format_table,
-        identity_gate,
-        run_server_bench,
-        speedup_gate,
-    )
-
-    record = run_server_bench(smoke=args.smoke)
-    print(format_table(record))
-    _write(record, out_path)
-
-    rc = 0
-    ok, reason = speedup_gate(record)
-    print(f"speedup gate: {reason}", file=sys.stdout if ok else sys.stderr)
-    if not ok:
-        rc = 1
-    for gate in (identity_gate, drain_gate):
-        ok, reasons = gate(record)
-        for reason in reasons:
-            print(f"{gate.__name__}: {reason}", file=sys.stdout if ok else sys.stderr)
-        if not ok:
-            rc = 1
-    return rc, record
-
-
-def _run_provider(args, out_path: str) -> tuple[int, dict]:
-    from bench_provider import (
-        format_table,
-        identity_gate,
-        run_provider_bench,
-        stretch_gate,
-        throughput_gate,
-    )
-
-    record = run_provider_bench(smoke=args.smoke)
-    print(format_table(record))
-    _write(record, out_path)
-
-    rc = 0
-    for gate in (stretch_gate, throughput_gate, identity_gate):
-        ok, reasons = gate(record)
-        for reason in reasons:
-            print(f"{gate.__name__}: {reason}", file=sys.stdout if ok else sys.stderr)
-        if not ok:
-            rc = 1
-    return rc, record
-
-
-SUITES = {
-    "distance": _run_distance,
-    "runner": _run_runner,
-    "suite": _run_suite,
-    "service": _run_service,
-    "scale": _run_scale,
-    "server": _run_server,
-    "provider": _run_provider,
-}
-
-
-def _fmt(value, unit: str = "") -> str:
+def _fmt(value) -> str:
     if value is None:
         return "-"
-    return f"{value}{unit}"
-
-
-def _trajectory_diff(name: str, old: dict | None, new: dict) -> list[str]:
-    """Compact old -> new lines for a suite's headline metrics."""
-    lines: list[str] = []
-    if name == "distance":
-        o = (old or {}).get("sketch_preprocess", {}).get("speedup")
-        n = new.get("sketch_preprocess", {}).get("speedup")
-        lines.append(f"  distance sketch_preprocess.speedup: {_fmt(o, 'x')} -> {_fmt(n, 'x')}")
-    elif name == "runner":
-        o = (old or {}).get("speedup")
-        n = new.get("speedup")
-        oe = (old or {}).get("resume", {}).get("executed")
-        ne = new.get("resume", {}).get("executed")
-        lines.append(
-            f"  runner jobs-speedup: {_fmt(o, 'x')} -> {_fmt(n, 'x')}; "
-            f"resume.executed: {_fmt(oe)} -> {_fmt(ne)}"
-        )
-    elif name == "service":
-        o = (old or {}).get("thrash", {}).get("speedup")
-        nt = new.get("thrash", {})
-        ob = (old or {}).get("batched", {}).get("zipf_qps")
-        nb = new.get("batched", {}).get("zipf_qps")
-        lines.append(
-            f"  service thrash speedup: {_fmt(o, 'x')} -> {_fmt(nt.get('speedup'), 'x')}; "
-            f"zipf qps: {_fmt(ob)} -> {_fmt(nb)}"
-        )
-    elif name == "scale":
-        old_points = (old or {}).get("points", {})
-        for point, rec in sorted(new.get("points", {}).items()):
-            op = old_points.get(point, {})
-            oe = op.get("build", {}).get("edges_per_s")
-            ne = rec.get("build", {}).get("edges_per_s")
-            if "memory" in rec:  # pool protocol: worker-memory headline
-                o = op.get("memory", {}).get("overhead_ratio")
-                n = rec.get("memory", {}).get("overhead_ratio")
-                ol = op.get("memory", {}).get("legacy_overhead_ratio")
-                nl = rec.get("memory", {}).get("legacy_overhead_ratio")
-                lines.append(
-                    f"  scale {point} worker-overhead: {_fmt(o, 'x')} -> {_fmt(n, 'x')} "
-                    f"(legacy: {_fmt(ol, 'x')} -> {_fmt(nl, 'x')}); "
-                    f"build: {_fmt(oe)} -> {_fmt(ne)} edges/s"
-                )
-            else:  # budget protocol: peak-vs-budget headline
-                ob = op.get("build", {}).get("peak_rss_bytes")
-                nb = rec.get("build", {}).get("peak_rss_bytes")
-                budget = rec.get("build", {}).get("budget_bytes")
-                lines.append(
-                    f"  scale {point} build: {_fmt(oe)} -> {_fmt(ne)} edges/s; "
-                    f"peak RSS: {_fmt(ob)} -> {_fmt(nb)} "
-                    f"(budget {_fmt(budget)} bytes)"
-                )
-    elif name == "server":
-        od = (old or {}).get("duel", {})
-        nd = new.get("duel", {})
-        o_top = max(
-            (p.get("achieved_qps") for p in (old or {}).get("sweep", [])),
-            default=None,
-        )
-        n_top = max(
-            (p.get("achieved_qps") for p in new.get("sweep", [])), default=None
-        )
-        lines.append(
-            f"  server duel speedup: {_fmt(od.get('speedup'), 'x')} -> "
-            f"{_fmt(nd.get('speedup'), 'x')}; top achieved qps: "
-            f"{_fmt(o_top)} -> {_fmt(n_top)}"
-        )
-    elif name == "provider":
-        old_wl = (old or {}).get("workloads", {})
-        for wl, rec in sorted(new.get("workloads", {}).items()):
-            o_auto = old_wl.get(wl, {}).get("auto", {})
-            n_auto = rec.get("auto", {})
-            lines.append(
-                f"  provider {wl} auto: {_fmt(o_auto.get('qps'))} -> "
-                f"{_fmt(n_auto.get('qps'))} q/s; max stretch: "
-                f"{_fmt(o_auto.get('stretch', {}).get('max'), 'x')} -> "
-                f"{_fmt(n_auto.get('stretch', {}).get('max'), 'x')}"
-            )
-    elif name == "suite":
-        old_algos = (old or {}).get("algorithms", {})
-        for algo, rec in sorted(new.get("algorithms", {}).items()):
-            o = old_algos.get(algo, {}).get("wall_s")
-            n = rec.get("wall_s")
-            ratio = "" if not o else f" ({n / o:.2f}x)"
-            lines.append(f"  suite {algo}: {_fmt(o, 's')} -> {_fmt(n, 's')}{ratio}")
-        old_hot = (old or {}).get("hot_loops", {})
-        for key, rec in sorted(new.get("hot_loops", {}).items()):
-            o = old_hot.get(key, {}).get("speedup")
-            lines.append(
-                f"  suite hot-loop {key}: {_fmt(o, 'x')} -> {_fmt(rec.get('speedup'), 'x')}"
-            )
-    return lines
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
 
 
 def _lint_gate() -> int:
@@ -386,11 +121,23 @@ def main() -> int:
     rc = 0
     diffs: list[str] = []
     for name in names:
-        out_path = args.out or os.path.join(REPO_ROOT, OUT_PATHS[name])
+        module_name, default_path = SUITES[name]
+        suite = importlib.import_module(module_name)
+        out_path = args.out or os.path.join(REPO_ROOT, default_path)
         old = _load_existing(out_path)
-        suite_rc, record = SUITES[name](args, out_path)
-        rc |= suite_rc
-        diffs += _trajectory_diff(name, old, record)
+        record = suite.run(smoke=args.smoke)
+        print(suite.format_table(record))
+        _write(record, out_path)
+        for gate, ok, reasons in suite.gates(record, old):
+            for reason in reasons:
+                print(f"{gate}: {reason}", file=sys.stdout if ok else sys.stderr)
+            rc |= 0 if ok else 1
+        try:
+            before = suite.headline(old) if old else {}
+        except (KeyError, TypeError):  # a record from an older protocol
+            before = {}
+        for key, value in suite.headline(record).items():
+            diffs.append(f"  {name} {key}: {_fmt(before.get(key))} -> {_fmt(value)}")
     if len(names) > 1:
         print("trajectory diff (committed -> this run):")
         for line in diffs:

@@ -4,14 +4,15 @@ Every algorithm in the registry — all spanner constructions and both APSP
 pipelines — is swept through a fixed graph-family × size protocol, and the
 wall time, edges/second throughput, and spanner size land in one
 JSON-ready record (committed as ``BENCH_suite.json`` at the repo root, see
-EXPERIMENTS.md for the protocol).  Two consumers:
+EXPERIMENTS.md for the protocol).
 
-* ``repro bench`` (CLI) runs the suite, writes the snapshot, and — given a
-  baseline — fails on a >2x per-algorithm slowdown, with explicit
-  timer-noise skips so CI on slow shared runners never flags phantom
-  regressions (mirroring :func:`benchmarks.bench_runner.speedup_gate`).
-* ``scripts/bench_snapshot.py --suite full`` regenerates every BENCH file
-  and prints the trajectory diff.
+The module is one of the snapshot suites behind
+``scripts/bench_snapshot.py`` and exports the same four names as the
+others: :func:`run`, :func:`format_table`, :func:`gates` and
+:func:`headline`.  ``repro bench`` (CLI) runs the same suite and, given a
+``--baseline`` record, adds the per-algorithm >2x slowdown gate, with
+explicit timer-noise skips so CI on slow shared runners never flags
+phantom regressions.
 
 The record also carries a **hot-loop before/after harness**: the
 vectorized streaming pass processing and unweighted ball collection are
@@ -31,8 +32,10 @@ import time
 import numpy as np
 
 __all__ = [
-    "run_suite",
+    "run",
     "format_table",
+    "gates",
+    "headline",
     "slowdown_gate",
     "hot_loop_gates",
     "SLOWDOWN_GATE",
@@ -55,9 +58,12 @@ UNWEIGHTED_BALLS_GATE = 3.0
 
 #: Per-algorithm sweep configuration.  Spanners run at one size per mode;
 #: the APSP pipelines (which simulate collection on top) use a smaller n.
+#: Every full cell is larger than its smoke cell and takes at least ~90 ms
+#: on a 2-vCPU VM (the fastest are apsp-cc, pram and mpc-nearlinear), so a
+#: full-mode baseline gates every algorithm above the noise floor.
 FULL_CONFIG = {
-    "spanner_graph": "er:2048:0.01",
-    "apsp_graph": "er:512:0.05",
+    "spanner_graph": "er:6144:0.01",
+    "apsp_graph": "er:2048:0.05",
     "k": 6,
     "seed": 0,
     "trials": 2,
@@ -217,7 +223,7 @@ def _hot_loop_harness(cfg: dict) -> dict:
     return out
 
 
-def run_suite(*, smoke: bool = False, with_smoke_ref: bool | None = None) -> dict:
+def run(*, smoke: bool = False, with_smoke_ref: bool | None = None) -> dict:
     """Execute the cross-algorithm protocol; returns the JSON-ready record.
 
     Full runs embed a ``smoke_ref`` section (the smoke-scale sweep), so a
@@ -355,6 +361,26 @@ def hot_loop_gates(record: dict) -> tuple[bool, list[str]]:
         else:
             reasons.append(f"{key}: {speedup:.2f}x meets the {floor:.0f}x floor")
     return ok, reasons
+
+
+def gates(record: dict, committed: dict | None = None) -> list[tuple[str, bool, list[str]]]:
+    """Every gate on ``record`` as ``(name, ok, reasons)``; the slowdown
+    gate runs only against a ``committed`` record."""
+    out = [("hot-loop gate", *hot_loop_gates(record))]
+    if committed is not None:
+        out.append(("slowdown gate", *slowdown_gate(record, committed)))
+    return out
+
+
+def headline(record: dict) -> dict[str, float | None]:
+    """Per-algorithm wall time and hot-loop speedups, for trajectory diffs."""
+    out = {
+        f"{name} wall_s": rec.get("wall_s")
+        for name, rec in sorted(record.get("algorithms", {}).items())
+    }
+    for key, rec in sorted(record.get("hot_loops", {}).items()):
+        out[f"hot-loop {key} speedup"] = rec.get("speedup")
+    return out
 
 
 def format_table(record: dict) -> str:

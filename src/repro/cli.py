@@ -746,24 +746,20 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .bench import format_table, hot_loop_gates, run_suite, slowdown_gate
+    from .bench import format_table, gates, run
 
-    record = run_suite(smoke=args.smoke)
-
-    gate_ok = True
-    gate_lines: list[str] = []
-    hot_ok, hot_reasons = hot_loop_gates(record)
-    gate_ok &= hot_ok
-    gate_lines += [f"hot-loop gate: {r}" for r in hot_reasons]
+    baseline = None
     if args.baseline:
         try:
             with open(args.baseline) as fh:
                 baseline = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise SystemExit(f"bench: cannot load baseline {args.baseline!r}: {exc}")
-        slow_ok, slow_reasons = slowdown_gate(record, baseline)
-        gate_ok &= slow_ok
-        gate_lines += [f"slowdown gate: {r}" for r in slow_reasons]
+
+    record = run(smoke=args.smoke)
+    results = gates(record, baseline)
+    gate_ok = all(ok for _, ok, _ in results)
+    gate_lines = [f"{name}: {r}" for name, _, reasons in results for r in reasons]
 
     if args.out:
         import os

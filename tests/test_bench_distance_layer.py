@@ -1,10 +1,10 @@
 """Tier-1 smoke wiring for the distance-layer benchmark.
 
 Runs ``benchmarks/bench_distance_layer.py`` in smoke mode (tiny n) on every
-test run: the bench itself asserts that the vectorized sketch and batched
-``pairwise_distances`` answers are bit-identical to the retained seed
-implementations, so a regression in either path fails the suite long before
-anyone looks at timing numbers.
+test run: the bench asserts that batched ``pairwise_distances`` is
+bit-identical to the retained seed implementation, and its identity gate
+that the vectorized sketch answers are, so a regression in either path
+fails the suite long before anyone looks at timing numbers.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 if BENCH_DIR not in sys.path:
     sys.path.insert(0, BENCH_DIR)
 
-from bench_distance_layer import format_table, run_distance_layer_bench  # noqa: E402
+from bench_distance_layer import format_table, identity_gate, run  # noqa: E402
 
 
 def test_smoke_mode_runs_and_matches_seed():
-    record = run_distance_layer_bench(smoke=True, num_query_pairs=300)
+    record = run(smoke=True, num_query_pairs=300)
     assert record["config"]["smoke"] is True
-    assert record["sketch_preprocess"]["queries_bit_identical"]
+    ok, reasons = identity_gate(record)
+    assert ok, reasons
     # Timing at smoke scale is noisy; only sanity-check the record shape.
     assert record["sketch_preprocess"]["vectorized_seconds"] > 0
     assert record["pairwise_distances"]["vectorized_seconds"] > 0
@@ -30,7 +31,7 @@ def test_smoke_mode_runs_and_matches_seed():
 
 
 def test_format_table_renders():
-    record = run_distance_layer_bench(smoke=True, num_query_pairs=100)
+    record = run(smoke=True, num_query_pairs=100)
     table = format_table(record)
     assert "sketch preprocess" in table
     assert "bit-identical: True" in table

@@ -30,7 +30,7 @@ from bench_runner import (  # noqa: E402
     format_table,
     multi_core_available,
     reference_plan,
-    run_runner_bench,
+    run,
     speedup_gate,
 )
 
@@ -38,7 +38,7 @@ from bench_runner import (  # noqa: E402
 @functools.lru_cache(maxsize=1)
 def smoke_record() -> dict:
     """One shared smoke-bench execution for every test in this module."""
-    return run_runner_bench(smoke=True, jobs=2)
+    return run(smoke=True, jobs=2)
 
 
 def test_reference_plan_shape():
@@ -64,7 +64,7 @@ def test_smoke_mode_runs_and_resumes():
 
 def test_speedup_gate_skips_on_single_cpu_with_reason():
     record = {"cpu_count": 1, "speedup": 0.64, "config": {"jobs": 4}}
-    ok, reason = speedup_gate(record)
+    ok, (reason,) = speedup_gate(record)
     assert ok
     assert "single-CPU" in reason
     assert "not a regression" in reason
@@ -73,9 +73,9 @@ def test_speedup_gate_skips_on_single_cpu_with_reason():
 def test_speedup_gate_verdicts_on_multicore_records():
     passing = {"cpu_count": 4, "speedup": 2.1, "config": {"jobs": 4}}
     failing = {"cpu_count": 4, "speedup": 1.05, "config": {"jobs": 4}}
-    ok, reason = speedup_gate(passing)
+    ok, (reason,) = speedup_gate(passing)
     assert ok and "meets" in reason
-    ok, reason = speedup_gate(failing)
+    ok, (reason,) = speedup_gate(failing)
     assert not ok and "below" in reason
 
 
@@ -89,5 +89,5 @@ def test_parallel_not_pathological_on_multicore():
     # slower", not the full 1.2x production gate (that one runs against the
     # full config in scripts/bench_snapshot.py --suite runner).
     record = smoke_record()
-    ok, reason = speedup_gate(record, minimum=0.5)
-    assert ok, reason
+    ok, reasons = speedup_gate(record, minimum=0.5)
+    assert ok, reasons

@@ -33,7 +33,7 @@ from bench_scale import (  # noqa: E402
     graph_footprint,
     identity_gate,
     probe_pairs,
-    run_scale_bench,
+    run,
     scale_gate,
     throughput_gate,
 )
@@ -42,7 +42,7 @@ from bench_scale import (  # noqa: E402
 def test_scale_bench_smoke():
     # Just the pool-protocol point: the budget-gated million cell builds a
     # real n=10^6 graph (~30s) and runs in the CI scale job instead.
-    record = run_scale_bench(smoke=True, points=["scale"])
+    record = run(smoke=True, points=["scale"])
     ok, reasons = identity_gate(record)
     assert ok, reasons
     # The memory gate is not timing-based, so it holds at smoke scale too
@@ -138,7 +138,7 @@ def test_throughput_gate_logic():
 
 def test_point_selector_rejects_unknown():
     with pytest.raises(ValueError, match="unknown point"):
-        run_scale_bench(smoke=True, points=["nope"])
+        run(smoke=True, points=["nope"])
 
 
 def test_probe_pairs_bounded_sources_and_deterministic():

@@ -29,13 +29,13 @@ from bench_server import (  # noqa: E402
     drain_gate,
     format_table,
     identity_gate,
-    run_server_bench,
+    run,
     speedup_gate,
 )
 
 
 def test_server_bench_smoke():
-    record = run_server_bench(smoke=True)
+    record = run(smoke=True)
     ok, reasons = identity_gate(record)
     assert ok, reasons
     ok, reasons = drain_gate(record)
@@ -48,7 +48,7 @@ def test_server_bench_smoke():
         assert "answers" not in point  # stripped before the record returns
     assert record["duel"]["micro_qps"] > 0 and record["duel"]["naive_qps"] > 0
     # Smoke-scale timings never gate; the skip reason is explicit.
-    ok, reason = speedup_gate(record)
+    ok, (reason,) = speedup_gate(record)
     assert ok and "skipped" in reason
     assert "server bench" in format_table(record)
 
@@ -58,10 +58,10 @@ def test_speedup_gate_logic():
         "smoke": False,
         "duel": {"speedup": SPEEDUP_GATE + 1, "micro_qps": 12.0, "naive_qps": 2.0},
     }
-    ok, reason = speedup_gate(passing)
+    ok, (reason,) = speedup_gate(passing)
     assert ok and "meets" in reason
     failing = {"smoke": False, "duel": {"speedup": SPEEDUP_GATE - 1}}
-    ok, reason = speedup_gate(failing)
+    ok, (reason,) = speedup_gate(failing)
     assert not ok and "below" in reason
 
 
@@ -87,11 +87,11 @@ def test_identity_gate_logic():
 def test_baseline_gate_logic():
     full = {"smoke": False, "sweep": [{"achieved_qps": 1000.0}]}
     # Scale mismatch (CI smoke vs committed full record) skips explicitly.
-    ok, reason = baseline_gate({"smoke": True, "sweep": []}, full)
+    ok, (reason,) = baseline_gate({"smoke": True, "sweep": []}, full)
     assert ok and "scale mismatch" in reason
     # Full vs full: a big regression fails, parity passes.
     slow = {"smoke": False, "sweep": [{"achieved_qps": 100.0}]}
-    ok, reason = baseline_gate(slow, full)
+    ok, (reason,) = baseline_gate(slow, full)
     assert not ok and "regressed" in reason
     ok, _ = baseline_gate(full, slow)  # faster than baseline is fine
     assert ok

@@ -25,30 +25,30 @@ from bench_service import (  # noqa: E402
     THRASH_GATE,
     format_table,
     identity_gate,
-    run_service_bench,
+    run,
     thrash_gate,
     zipf_sources,
 )
 
 
 def test_service_bench_smoke():
-    record = run_service_bench(smoke=True)
+    record = run(smoke=True)
     ok, reasons = identity_gate(record)
     assert ok, reasons
     assert record["thrash"]["lru_rows"] <= record["thrash"]["clear_evict_rows"]
     assert record["batched"]["matches_single"]
     # Smoke-scale timings never gate; the skip reason is explicit.
-    ok, reason = thrash_gate(record)
+    ok, (reason,) = thrash_gate(record)
     assert ok and "skipped" in reason
     assert "service bench" in format_table(record)
 
 
 def test_thrash_gate_logic():
     passing = {"smoke": False, "thrash": {"speedup": THRASH_GATE + 1}}
-    ok, reason = thrash_gate(passing)
+    ok, (reason,) = thrash_gate(passing)
     assert ok and "meets" in reason
     failing = {"smoke": False, "thrash": {"speedup": THRASH_GATE - 1}}
-    ok, reason = thrash_gate(failing)
+    ok, (reason,) = thrash_gate(failing)
     assert not ok and "below" in reason
 
 

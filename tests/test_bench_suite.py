@@ -1,6 +1,6 @@
 """The cross-algorithm benchmark suite: record shape, gates, and CLI.
 
-Runs :func:`repro.bench.run_suite` in smoke mode once (module fixture) and
+Runs :func:`repro.bench.run` in smoke mode once (module fixture) and
 checks that every registered algorithm is measured, that the hot-loop
 harness certifies bit-identical vectorized outputs, and that both gates —
 the per-algorithm slowdown gate and the hot-loop speedup floors — behave:
@@ -17,7 +17,7 @@ import pytest
 
 from repro.bench import (
     hot_loop_gates,
-    run_suite,
+    run,
     slowdown_gate,
 )
 from repro.registry import algorithm_names
@@ -25,7 +25,7 @@ from repro.registry import algorithm_names
 
 @pytest.fixture(scope="module")
 def record():
-    return run_suite(smoke=True)
+    return run(smoke=True)
 
 
 class TestSuiteRecord:
@@ -173,23 +173,6 @@ class TestBenchCLI:
 
         with pytest.raises(SystemExit, match="baseline"):
             main(["bench", "--smoke", "--baseline", str(tmp_path / "missing.json")])
-
-
-def test_benchmarks_suite_wrapper_reexports():
-    """The standalone ``benchmarks/suite.py`` entry stays importable and
-    re-exports the protocol surface."""
-    import os
-    import sys
-
-    bench_dir = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks"
-    )
-    if bench_dir not in sys.path:
-        sys.path.insert(0, bench_dir)
-    import suite  # noqa: F401
-
-    assert suite.run_suite is run_suite
-    assert suite.slowdown_gate is slowdown_gate
 
 
 def test_committed_snapshot_matches_protocol():

@@ -10,8 +10,10 @@ import pytest
 from repro.cc_impl import apsp_cc
 from repro.core import (
     baswana_sen,
+    bs_size_bound,
     cluster_merging,
     general_tradeoff,
+    size_bound,
     stretch_bound,
     two_phase_contraction,
     tradeoff_table,
@@ -57,6 +59,60 @@ class TestTradeoffShape:
         bs = baswana_sen(g, k, rng=1)
         fast = general_tradeoff(g, k, 1, rng=1)
         assert fast.iterations < bs.iterations / 2
+
+    def test_cluster_merging_fewer_iterations_than_baswana_sen(self):
+        g = erdos_renyi(512, 0.06, weights="uniform", rng=7)
+        for k in (8, 16, 32):
+            cm = cluster_merging(g, k, rng=1)
+            assert cm.iterations <= math.ceil(math.log2(k))
+            assert cm.iterations < baswana_sen(g, k, rng=1).iterations
+
+    def test_iterations_grow_with_t(self):
+        # The contraction-interval ablation: t=1 takes the fewest
+        # iterations and t=k-1 more (ceil effects make the middle
+        # non-monotone: l = ceil(log k / log(t+1)) jumps discretely).
+        g = erdos_renyi(512, 0.06, weights="uniform", rng=7)
+        its = [general_tradeoff(g, 16, t, rng=2).iterations for t in (1, 2, 4, 8, 15)]
+        assert its[0] == min(its)
+        assert its[0] < its[-1]
+
+
+class TestSizeShape:
+    """Measured spanner size against the n^{1+1/k} shape of the size theorems."""
+
+    NS = (128, 256, 512, 1024)
+
+    @pytest.mark.parametrize(
+        "builder,bound",
+        [
+            (lambda g, s: baswana_sen(g, 4, rng=s), lambda n: bs_size_bound(n, 4)),
+            (lambda g, s: general_tradeoff(g, 4, 2, rng=s), lambda n: size_bound(n, 4, 3)),
+            (lambda g, s: general_tradeoff(g, 8, 3, rng=s), lambda n: size_bound(n, 8, 3)),
+        ],
+        ids=["baswana-sen-k4", "general-k4-t2", "general-k8-t3"],
+    )
+    def test_size_growth_exponent(self, builder, bound):
+        # Fixed average degree so n is the only variable; mean of 3 seeds.
+        sizes = []
+        for n in self.NS:
+            graphs = [
+                erdos_renyi(n, min(0.9, 24.0 / n), weights="uniform", rng=100 + s)
+                for s in range(3)
+            ]
+            size = float(np.mean([builder(g, s).num_edges for s, g in enumerate(graphs)]))
+            assert size <= bound(n)
+            sizes.append(size)
+        slope = np.polyfit(np.log(self.NS), np.log(sizes), 1)[0]
+        # Clearly subquadratic: the asymptotic exponent is 1+1/k, but the
+        # sampling probabilities depend on n, so a 4-point fit mixes in
+        # transient terms.
+        assert slope <= 1.5
+
+    def test_size_non_increasing_in_k(self):
+        g = erdos_renyi(512, 0.06, weights="uniform", rng=5)
+        sizes = [general_tradeoff(g, k, 2, rng=6).num_edges for k in (2, 3, 4, 6, 8, 12)]
+        for prev, cur in zip(sizes, sizes[1:]):
+            assert cur <= prev * 1.15  # monotone up to noise
 
 
 class TestAllAlgorithmsOneGraph:

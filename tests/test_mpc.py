@@ -51,6 +51,15 @@ class TestConfig:
         with pytest.raises(KeyError):
             c.rounds_for("teleport")
 
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7])
+    def test_sort_charges_rounds_for_sort(self, gamma):
+        # Lemma 6.1: one sort costs O(1/gamma) rounds regardless of data size.
+        cfg = MPCConfig(n=4096, gamma=gamma, total_words=3 * 10**4)
+        sim = MPCSimulator(cfg)
+        keys = np.random.default_rng(0).integers(0, 100, 10**4)
+        sort_table(DistributedTable(sim, {"k": keys}, words_per_record=2), ["k"])
+        assert sim.rounds == cfg.rounds_for("sort")
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MPCConfig(n=0, gamma=0.5, total_words=10)

@@ -31,6 +31,16 @@ class TestSpannerMPC:
             res = spanner_mpc(g300, 8, 3, gamma=gamma, rng=3)
             assert res.extra["rounds"] <= mpc_rounds_bound(8, 3, gamma, constant=16.0)
 
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7])
+    def test_rounds_and_loads_across_gamma(self, gamma):
+        # ~12 primitive calls per iteration, each (tree_levels + 1) rounds;
+        # constant=24 covers the +1 placement round at large gamma.
+        g = erdos_renyi(400, 0.06, weights="uniform", rng=7)
+        res = spanner_mpc(g, 8, 3, gamma=gamma, rng=70)
+        assert res.extra["rounds"] <= mpc_rounds_bound(8, 3, gamma, constant=24.0)
+        mpc = res.extra["mpc"]
+        assert mpc["peak_machine_load"] <= mpc["machine_memory"]
+
     def test_rounds_grow_as_gamma_shrinks(self, g300):
         hi = spanner_mpc(g300, 8, 3, gamma=0.8, rng=4).extra["rounds"]
         lo = spanner_mpc(g300, 8, 3, gamma=0.3, rng=4).extra["rounds"]

@@ -65,6 +65,13 @@ class TestSpannerPRAM:
         expect = res.iterations * (3 * ls + 2) + 2 * ls
         assert pram["depth"] == expect
 
+    def test_t1_depth_below_baswana_sen_depth(self):
+        # o(k) depth for t=1 vs the Θ(k log* n) Baswana-Sen baseline (t=k-1).
+        g = erdos_renyi(512, 0.06, weights="uniform", rng=7)
+        fast = spanner_pram(g, 16, 1, rng=1).extra["pram"]["depth"]
+        base = spanner_pram(g, 16, 15, rng=1).extra["pram"]["depth"]
+        assert fast < base
+
     def test_work_near_linear(self):
         g = erdos_renyi(200, 0.15, weights="uniform", rng=96)
         res = spanner_pram(g, 4, 2, rng=2)

@@ -16,9 +16,12 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    EdgeSet,
     cluster_merging,
+    contract_clusters,
     general_tradeoff,
     num_epochs,
+    run_growth_iterations,
     size_bound,
     stretch_bound,
     two_phase_contraction,
@@ -26,9 +29,36 @@ from repro.core import (
 from repro.graphs import (
     edge_stretch,
     erdos_renyi,
+    quotient_edges,
     same_components,
     verify_spanner,
 )
+
+
+@pytest.fixture(scope="module")
+def er1024():
+    return erdos_renyi(1024, 0.03, weights="uniform", rng=7)
+
+
+def _epochs_to_converge(g, k: int, *, decaying: bool, rng_seed: int, cap: int) -> int:
+    """Contract after every single growth iteration (t=1) and count epochs
+    until the super-node count reaches n^{1/k} (or edges run out)."""
+    rng = np.random.default_rng(rng_seed)
+    target = g.n ** (1.0 / k)
+    edges = EdgeSet.from_arrays(g.n, g.edges_u, g.edges_v, g.edges_w)
+    for epoch in range(1, cap + 1):
+        expo = 2.0 ** (epoch - 1) / k if decaying else 1.0 / k
+        out = run_growth_iterations(
+            edges, iterations=1, probability=float(g.n) ** -expo, rng=rng, epoch=epoch
+        )
+        new_id, _, num_clusters = contract_clusters(
+            out.labels, out.radius_bound, np.zeros(edges.num_nodes)
+        )
+        if num_clusters <= target or edges.num_alive == 0:
+            return epoch
+        q = quotient_edges(new_id, *edges.alive_view())
+        edges = EdgeSet.from_arrays(q.num_nodes, q.u, q.v, q.w, q.rep_edge_id)
+    return cap
 
 
 class TestClusterMerging:
@@ -56,6 +86,24 @@ class TestClusterMerging:
         counts = [s.num_clusters for s in res.stats]
         assert all(b <= a for a, b in zip(counts, counts[1:]))
         assert counts[-1] < counts[0] / 4
+
+    def test_cluster_decay_tracks_lemma_4_12(self, er1024):
+        # E|C^{(i-1)}| = n^{1 - (2^{i-1} - 1)/k}: within a factor 4 per epoch.
+        k = 16
+        res = cluster_merging(er1024, k, rng=50)
+        for s in res.stats:
+            predicted = er1024.n ** max(1 - (2.0 ** (s.epoch - 1) - 1) / k, 0.0)
+            assert s.num_clusters <= 4 * predicted + 10
+
+    def test_decaying_schedule_needs_log_k_epochs(self, er1024):
+        # The sampling-schedule ablation: the paper's n^{-2^{i-1}/k} reaches
+        # n^{1/k} clusters in ~log2 k epochs; Baswana-Sen's fixed n^{-1/k}
+        # needs ~k.
+        k = 16
+        fast = _epochs_to_converge(er1024, k, decaying=True, rng_seed=9, cap=3 * k)
+        slow = _epochs_to_converge(er1024, k, decaying=False, rng_seed=9, cap=3 * k)
+        assert fast <= math.ceil(math.log2(k)) + 2
+        assert slow >= 2 * fast
 
     def test_other_families(self, ba_graph, grid, cliques):
         for g in (ba_graph, grid, cliques):

@@ -113,6 +113,13 @@ def test_extra_accounting_fields(er_unweighted):
     assert extra["total_memory_words"] >= er_unweighted.m
 
 
+def test_total_memory_within_appendix_b_bound():
+    # Appendix B: total memory O(m + n^{1+gamma}).
+    g = erdos_renyi(400, 0.05, rng=60)
+    res = unweighted_spanner(g, 3, gamma=0.5, rng=63)
+    assert res.extra["total_memory_words"] <= 4 * (g.m + g.n ** 1.5)
+
+
 def test_mpc_accounted_ball_growing(er_unweighted):
     res = unweighted_spanner(er_unweighted, 3, rng=10, account_mpc=True)
     acct = res.extra["mpc_ball_growing"]
