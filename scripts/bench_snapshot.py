@@ -1,20 +1,25 @@
 #!/usr/bin/env python
 """Dump benchmark timings to the ``BENCH_*.json`` trajectory snapshots.
 
-Each run overwrites the JSON snapshot(s) at the repo root, so the perf
-numbers future changes must defend are always one command away::
+A full-scale run overwrites the JSON snapshot(s) at the repo root, so the
+perf numbers future changes must defend are always one command away; a
+``--smoke`` run writes under ``bench/`` instead, so it never replaces a
+committed full-scale record::
 
     python scripts/bench_snapshot.py                    # distance-layer suite
     python scripts/bench_snapshot.py --suite runner     # one named suite
     python scripts/bench_snapshot.py --suite full       # every suite + trajectory diff
     python scripts/bench_snapshot.py --smoke            # tiny-n sanity run
+    python scripts/bench_snapshot.py --suite suite --smoke   # CI slowdown gate
 
 Every suite module (the ``SUITES`` table below; protocols in
 EXPERIMENTS.md) exports ``run(smoke=...)``, ``format_table(record)``,
 ``gates(record, committed)`` and ``headline(record)``, and this script is
 one loop over them: run, print the table, write the record, evaluate the
-gates (baseline gates compare against the record the run overwrites),
-and, for ``--suite full``, print each headline number as old -> new.
+gates, and, for ``--suite full``, print each headline number as old ->
+new.  Baseline gates and the diff compare against the committed record at
+the repo root, read before the run, whatever ``--out`` says; a smoke run
+is held to a full record's smoke-scale reference where it has one.
 
 No PYTHONPATH fiddling needed — the script wires up ``src`` and
 ``benchmarks`` itself.
@@ -32,7 +37,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
 
-#: suite name -> (module, default snapshot file at the repo root)
+#: suite name -> (module, committed snapshot file at the repo root)
 SUITES = {
     "distance": ("bench_distance_layer", "BENCH_distance_layer.json"),
     "runner": ("bench_runner", "BENCH_runner.json"),
@@ -89,7 +94,7 @@ def _lint_gate() -> int:
     return 0
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--smoke", action="store_true", help="tiny-n smoke run")
     ap.add_argument(
@@ -108,10 +113,10 @@ def main() -> int:
     ap.add_argument(
         "--out",
         default=None,
-        help="output JSON path (default: BENCH_<suite>.json at repo root; "
-        "only valid with a single suite)",
+        help="output JSON path (default: BENCH_<suite>.json at the repo root, "
+        "or under bench/ for --smoke; only valid with a single suite)",
     )
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     names = list(SUITES) if args.suite in ("all", "full") else [args.suite]
     if args.out and len(names) > 1:
@@ -121,10 +126,13 @@ def main() -> int:
     rc = 0
     diffs: list[str] = []
     for name in names:
-        module_name, default_path = SUITES[name]
+        module_name, snapshot = SUITES[name]
         suite = importlib.import_module(module_name)
-        out_path = args.out or os.path.join(REPO_ROOT, default_path)
-        old = _load_existing(out_path)
+        committed_path = os.path.join(REPO_ROOT, snapshot)
+        old = _load_existing(committed_path)
+        out_path = args.out or (
+            os.path.join(REPO_ROOT, "bench", snapshot) if args.smoke else committed_path
+        )
         record = suite.run(smoke=args.smoke)
         print(suite.format_table(record))
         _write(record, out_path)

@@ -9,6 +9,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy", "networkx"],
+    install_requires=["numpy", "scipy"],
+    # networkx is only needed by WeightedGraph.to_networkx, which the tests
+    # use as an independent reference.
+    extras_require={"test": ["networkx", "pytest", "hypothesis"]},
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

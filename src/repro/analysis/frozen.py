@@ -40,7 +40,7 @@ FROZEN_HASHES: dict[str, str] = {
     "graphs/distances.py::sssp_reference": "5c296686cbb98f36",
     "mpc_impl/ball_growing.py::grow_balls_mpc_reference": "013e180a01ae7bb4",
     "streaming/spanner_stream.py::_pass_group_minima_reference": "9d9898602b56b584",
-    "streaming/spanner_stream.py::streaming_spanner_reference": "b7938ab3470b997d",
+    "streaming/spanner_stream.py::streaming_spanner_reference": "94c39be551729412",
 }
 
 

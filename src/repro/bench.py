@@ -9,10 +9,11 @@ EXPERIMENTS.md for the protocol).
 The module is one of the snapshot suites behind
 ``scripts/bench_snapshot.py`` and exports the same four names as the
 others: :func:`run`, :func:`format_table`, :func:`gates` and
-:func:`headline`.  ``repro bench`` (CLI) runs the same suite and, given a
-``--baseline`` record, adds the per-algorithm >2x slowdown gate, with
-explicit timer-noise skips so CI on slow shared runners never flags
-phantom regressions.
+:func:`headline`; ``python scripts/bench_snapshot.py --suite suite`` runs
+it.  Against the committed ``BENCH_suite.json`` (a smoke run against that
+record's ``smoke_ref``), :func:`gates` adds the per-algorithm >2x slowdown
+gate, with explicit timer-noise skips so CI on slow shared runners never
+flags phantom regressions.
 
 The record also carries a **hot-loop before/after harness**: the
 vectorized streaming pass processing and unweighted ball collection are

@@ -28,11 +28,6 @@ Commands
     (``repro verify --algorithm ... --graph ...``) or a full conformance
     matrix over algorithms x graph families x seeds (``repro verify
     --matrix``).
-``bench``
-    Run the cross-algorithm benchmark suite (every registered algorithm +
-    the hot-loop before/after harness), write ``BENCH_suite.json``, and —
-    given ``--baseline`` — fail on a >2x per-algorithm slowdown (with
-    graceful timer-noise skips).
 ``query``
     Answer distance queries from a persisted artifact store
     (:mod:`repro.service`): resolve the artifact for a build
@@ -69,7 +64,7 @@ import sys
 
 from .registry import algorithm_names, get_algorithm, iter_algorithms, ALIASES
 
-__all__ = ["main", "build_graph"]
+__all__ = ["main"]
 
 
 def _json_safe(obj):
@@ -89,18 +84,25 @@ def _json_safe(obj):
     return obj
 
 
-def build_graph(spec: str, *, weights: str = "uniform", seed: int = 0):
-    """Parse a ``family:arg1:arg2`` graph spec and build the graph.
+def _emit(payload, *, file=None, indent: int | None = 2) -> None:
+    """Print ``payload`` as JSON, the CLI's one emission site (default
+    stdout; ``indent=None`` prints a single line)."""
+    text = json.dumps(_json_safe(payload), indent=indent, sort_keys=True)
+    print(text, file=file or sys.stdout)
 
-    Thin compatibility wrapper over :class:`repro.graphs.specs.GraphSpec`
-    that reports spec problems as ``SystemExit`` (CLI semantics).
-    """
-    from .graphs.specs import GraphSpec, GraphSpecError
 
-    try:
-        return GraphSpec.parse(spec).build(weights=weights, seed=seed)
-    except GraphSpecError as exc:
-        raise SystemExit(f"bad graph spec: {exc}") from exc
+def _at_least(lo: int):
+    """An argparse ``type=`` for integers ``>= lo``: an out-of-range value
+    is a usage error (exit 2) instead of a library traceback."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = f"int>={lo}"  # argparse names the type in its errors
+    return parse
 
 
 def _spanner_algorithm_choices() -> list[str]:
@@ -113,9 +115,11 @@ def _spanner_algorithm_choices() -> list[str]:
 
 
 def _cmd_spanner(args) -> int:
+    from .graphs.specs import build_graph_from_spec
+
     algo = get_algorithm(args.algorithm)
     weights = args.weights if algo.weighted else "unit"
-    g = build_graph(args.graph, weights=weights, seed=args.seed)
+    g = build_graph_from_spec(args.graph, weights=weights, seed=args.seed)
     res = algo.run(g, k=args.k, t=args.t, rng=args.seed)
     h = res.subgraph(g)
 
@@ -136,7 +140,7 @@ def _cmd_spanner(args) -> int:
                 "mean_stretch": float(rep.mean_stretch),
             }
         )
-        print(json.dumps(_json_safe(record), indent=2, sort_keys=True))
+        _emit(record)
         return 0
 
     print(f"graph: n={g.n} m={g.m}")
@@ -160,7 +164,9 @@ def _cmd_spanner(args) -> int:
 def _cmd_apsp(args) -> int:
     import numpy as np
 
-    g = build_graph(args.graph, weights=args.weights, seed=args.seed)
+    from .graphs.specs import build_graph_from_spec
+
+    g = build_graph_from_spec(args.graph, weights=args.weights, seed=args.seed)
     pipeline = get_algorithm("apsp-mpc" if args.model == "mpc" else "apsp-cc")
     res = pipeline.run(g, rng=args.seed)
 
@@ -189,7 +195,7 @@ def _cmd_apsp(args) -> int:
         if mask.any():
             record["max_approximation"] = float(ratios.max())
             record["mean_approximation"] = float(ratios.mean())
-        print(json.dumps(_json_safe(record), indent=2, sort_keys=True))
+        _emit(record)
         return 0
 
     print(f"graph: n={g.n} m={g.m}  model={args.model}")
@@ -218,9 +224,10 @@ def _cmd_tradeoff(args) -> int:
 
 
 def _cmd_mpc(args) -> int:
+    from .graphs.specs import build_graph_from_spec
     from .mpc_impl import spanner_mpc
 
-    g = build_graph(args.graph, weights=args.weights, seed=args.seed)
+    g = build_graph_from_spec(args.graph, weights=args.weights, seed=args.seed)
     res = spanner_mpc(g, args.k, args.t, gamma=args.gamma, rng=args.seed)
     mpc = res.mpc_stats
     print(f"graph: n={g.n} m={g.m}   gamma={args.gamma}")
@@ -258,7 +265,7 @@ def _cmd_list(args) -> int:
                 for _, f in sorted(GRAPH_FAMILIES.items())
             ],
         }
-        print(json.dumps(_json_safe(payload), indent=2))
+        _emit(payload)
         return 0
 
     print("algorithms:")
@@ -318,21 +325,16 @@ def _cmd_sweep(args) -> int:
     )
     errors = sum(1 for r in result.records if "error" in r)
     if args.json:
-        print(
-            json.dumps(
-                _json_safe(
-                    {
-                        "plan": plan.name,
-                        "trials": result.total,
-                        "executed": result.executed,
-                        "skipped": result.skipped,
-                        "errors": errors,
-                        "wall_seconds": round(result.wall_seconds, 3),
-                        "out_dir": result.out_dir,
-                    }
-                ),
-                indent=2,
-            )
+        _emit(
+            {
+                "plan": plan.name,
+                "trials": result.total,
+                "executed": result.executed,
+                "skipped": result.skipped,
+                "errors": errors,
+                "wall_seconds": round(result.wall_seconds, 3),
+                "out_dir": result.out_dir,
+            }
         )
     else:
         print(
@@ -351,8 +353,6 @@ def _cmd_verify(args) -> int:
     if not args.matrix:
         if not args.algorithm:
             raise SystemExit("verify: --algorithm is required without --matrix")
-        from .graphs.specs import GraphSpecError
-
         try:
             cert = certify(
                 args.algorithm,
@@ -363,7 +363,7 @@ def _cmd_verify(args) -> int:
                 weights=args.weights or "uniform",
                 slack=args.slack,
             )
-        except (KeyError, ValueError, GraphSpecError) as exc:
+        except (KeyError, ValueError) as exc:
             raise SystemExit(f"verify: {exc}") from exc
         if args.out:
             from pathlib import Path
@@ -373,7 +373,7 @@ def _cmd_verify(args) -> int:
                 out = out / "certificate.json"
             cert.save(out)
         if args.json:
-            print(json.dumps(_json_safe(cert.to_json()), indent=2, sort_keys=True))
+            _emit(cert.to_json())
         else:
             print(
                 f"{cert.algorithm} on {cert.graph} "
@@ -428,7 +428,7 @@ def _cmd_verify(args) -> int:
         progress=None if args.json else progress,
     )
     if args.json:
-        print(json.dumps(_json_safe(result.to_json()), indent=2, sort_keys=True))
+        _emit(result.to_json())
     else:
         print(format_matrix_markdown(result))
         if result.out_dir:
@@ -438,17 +438,11 @@ def _cmd_verify(args) -> int:
 
 def _service_config(args) -> dict:
     """The canonical build configuration a service artifact is keyed by."""
-    from .graphs.specs import GraphSpec, GraphSpecError
+    from .graphs.specs import GraphSpec
     from .registry import resolve_name
 
-    try:
-        graph = GraphSpec.parse(args.graph).format()
-    except GraphSpecError as exc:
-        raise SystemExit(f"bad graph spec: {exc}") from exc
-    try:
-        algorithm = resolve_name(args.algorithm)
-    except KeyError as exc:
-        raise SystemExit(f"unknown algorithm {args.algorithm!r}") from exc
+    graph = GraphSpec.parse(args.graph).format()
+    algorithm = resolve_name(args.algorithm)  # --algorithm choices are spanners
     # Unweighted-only algorithms always build with unit weights; normalize
     # before hashing so the weight model cannot split identical artifacts
     # into distinct keys (mirrors the runner's trial normalization).
@@ -466,22 +460,28 @@ def _service_config(args) -> dict:
 
 def _build_service_artifact(store, key: str, config: dict) -> None:
     """Build the configured structure and persist it under ``key``."""
+    from .graphs.specs import build_graph_from_spec
+
     algo = get_algorithm(config["algorithm"])
-    if algo.kind != "spanner":
-        raise SystemExit(
-            f"--build needs a spanner algorithm, got {config['algorithm']!r} "
-            f"({algo.kind}); APSP pipelines persist via `repro sweep --persist`"
-        )
-    g = build_graph(config["graph"], weights=config["weights"], seed=config["seed"])
+    g = build_graph_from_spec(
+        config["graph"], weights=config["weights"], seed=config["seed"]
+    )
     res = algo.run(g, k=config["k"], t=config["t"], rng=config["seed"])
     meta = {**config, "graph_n": g.n, "graph_m": g.m}
     if config["kind"] == "sketch":
         from .distances.sketches import sketch_on_spanner
 
         sk, accounting = sketch_on_spanner(g, res, config["k"], rng=config["seed"])
-        meta.update(accounting)
-        store.save_sketch(sk, key=key, meta=meta)
-    elif config["kind"] == "bundle":
+        store.save_sketch(sk, key=key, meta={**meta, **accounting})
+        return
+    spanner = {
+        "k": res.k,
+        "t": res.t,
+        "t_effective": res.extra.get("t_effective", res.t),
+        "key": key,
+        "meta": meta,
+    }
+    if config["kind"] == "bundle":
         # Graph + spanner + sketch side by side under one key: the
         # multi-backend artifact the provider planner serves.  The sketch
         # is preprocessed on the *input* graph, so its declared stretch
@@ -489,39 +489,22 @@ def _build_service_artifact(store, key: str, config: dict) -> None:
         from .distances.sketches import DistanceSketch
 
         sk = DistanceSketch(g, config["k"], rng=config["seed"])
-        store.save_bundle(
-            g,
-            res.subgraph(g),
-            sk,
-            k=res.k,
-            t=res.t,
-            t_effective=res.extra.get("t_effective", res.t),
-            key=key,
-            meta=meta,
-        )
+        store.save_bundle(g, res.subgraph(g), sk, **spanner)
     else:
-        store.save_spanner(
-            res.subgraph(g),
-            k=res.k,
-            t=res.t,
-            t_effective=res.extra.get("t_effective", res.t),
-            key=key,
-            meta=meta,
-        )
+        store.save_spanner(res.subgraph(g), **spanner)
 
 
 def _plan_target(args):
     """The :class:`~repro.service.provider.PlanTarget` the planner flags
     declare, or ``None`` when every flag is at its default."""
-    backend = getattr(args, "backend", "auto")
-    stretch = getattr(args, "stretch", None)
-    latency = getattr(args, "latency_target", None)
-    if backend == "auto" and stretch is None and latency is None:
+    if args.backend == "auto" and args.stretch is None and args.latency_target is None:
         return None
     from .service.provider import PlanTarget
 
     try:
-        return PlanTarget(backend=backend, max_stretch=stretch, p99_ms=latency)
+        return PlanTarget(
+            backend=args.backend, max_stretch=args.stretch, p99_ms=args.latency_target
+        )
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
 
@@ -530,6 +513,7 @@ def _resolve_engine(args):
     """Resolve (and optionally build) the artifact; return (key, built, engine)."""
     from .service import ArtifactStore, QueryEngine, config_key
 
+    target = _plan_target(args)
     store = ArtifactStore(args.store)
     built = False
     if args.key:
@@ -538,16 +522,16 @@ def _resolve_engine(args):
             known = ", ".join(store.keys()) or "<empty>"
             raise SystemExit(f"no artifact {key!r} in {args.store} (have: {known})")
     else:
-        key = config_key(_service_config(args))
+        config = _service_config(args)
+        key = config_key(config)
         if key not in store:
             if not args.build:
                 raise SystemExit(
                     f"no artifact {key!r} for this configuration in {args.store}; "
                     "pass --build to construct and persist it"
                 )
-            _build_service_artifact(store, key, _service_config(args))
+            _build_service_artifact(store, key, config)
             built = True
-    target = _plan_target(args)
     if target is not None and store.info(key).kind != "bundle":
         raise SystemExit(
             f"--backend/--stretch/--latency-target route between backends, but "
@@ -613,28 +597,21 @@ def _cmd_query(args) -> int:
 
     finite = np.isfinite(answers)
     if args.json:
-        # _json_safe maps disconnected answers (float inf) to null — the
-        # socket protocol's {"d": null} contract, not the spec-invalid
-        # bare `Infinity` token json.dumps would emit.
-        print(
-            json.dumps(
-                _json_safe(
-                    {
-                        "store": args.store,
-                        "key": key,
-                        "built": built,
-                        "num_pairs": int(pairs.shape[0]),
-                        "finite": int(finite.sum()),
-                        "mean_distance": (
-                            float(answers[finite].mean()) if finite.any() else None
-                        ),
-                        "answers": answers.tolist(),
-                        "stats": stats,
-                    }
+        # Disconnected answers (float inf) emit as null — the socket
+        # protocol's {"d": null} contract.
+        _emit(
+            {
+                "store": args.store,
+                "key": key,
+                "built": built,
+                "num_pairs": int(pairs.shape[0]),
+                "finite": int(finite.sum()),
+                "mean_distance": (
+                    float(answers[finite].mean()) if finite.any() else None
                 ),
-                indent=2,
-                sort_keys=True,
-            )
+                "answers": answers.tolist(),
+                "stats": stats,
+            }
         )
         return 0
     status = "built + persisted" if built else "loaded"
@@ -682,19 +659,19 @@ def _cmd_serve(args) -> int:
                 flush=True,
             ),
         )
-        print(json.dumps(_json_safe(stats), sort_keys=True), file=sys.stderr)
-        return 0
+        errors = 0
+    else:
+        from .service.server import serve_pipe
 
-    from .service.server import serve_pipe
-
-    print(
-        f"serving artifact {key} ({status}); one 'u v' pair per line on stdin",
-        file=sys.stderr,
-    )
-    with engine:
-        result = serve_pipe(engine, sys.stdin, sys.stdout)
-        print(json.dumps(_json_safe(result["stats"]), sort_keys=True), file=sys.stderr)
-    return 1 if result["errors"] else 0
+        print(
+            f"serving artifact {key} ({status}); one 'u v' pair per line on stdin",
+            file=sys.stderr,
+        )
+        with engine:
+            result = serve_pipe(engine, sys.stdin, sys.stdout)
+        stats, errors = result["stats"], result["errors"]
+    _emit(stats, file=sys.stderr, indent=None)  # one line: the last on stderr
+    return 1 if errors else 0
 
 
 def _cmd_ingest(args) -> int:
@@ -732,7 +709,7 @@ def _cmd_ingest(args) -> int:
         "peak_rss_bytes": peak_rss_bytes(),
     }
     if args.json:
-        print(json.dumps(_json_safe(record), indent=2, sort_keys=True))
+        _emit(record)
         return 0
     print(f"ingested {args.path}: n={g.n} m={g.m} -> artifact {key} in {args.store}")
     print(
@@ -743,48 +720,6 @@ def _cmd_ingest(args) -> int:
     )
     print(f"  query it: repro query --store {args.store} --key {key}")
     return 0
-
-
-def _cmd_bench(args) -> int:
-    from .bench import format_table, gates, run
-
-    baseline = None
-    if args.baseline:
-        try:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(f"bench: cannot load baseline {args.baseline!r}: {exc}")
-
-    record = run(smoke=args.smoke)
-    results = gates(record, baseline)
-    gate_ok = all(ok for _, ok, _ in results)
-    gate_lines = [f"{name}: {r}" for name, _, reasons in results for r in reasons]
-
-    if args.out:
-        import os
-
-        parent = os.path.dirname(os.path.abspath(args.out))
-        os.makedirs(parent, exist_ok=True)
-        with open(args.out, "w") as fh:
-            json.dump(_json_safe(record), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    if args.json:
-        print(
-            json.dumps(
-                _json_safe({"record": record, "gates_ok": gate_ok, "gates": gate_lines}),
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print(format_table(record))
-        for line in gate_lines:
-            print(line)
-        if args.out:
-            print(f"wrote {args.out}")
-    return 0 if gate_ok else 1
 
 
 def _cmd_lint(args) -> int:
@@ -805,7 +740,7 @@ def _cmd_lint(args) -> int:
         raise SystemExit(f"lint: {exc}")
 
     if args.json:
-        print(json.dumps(_json_safe([f.to_json() for f in findings]), indent=2))
+        _emit([f.to_json() for f in findings])
     else:
         for finding in findings:
             print(finding.format())
@@ -823,48 +758,116 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--graph", default="er:512:0.06", help="family:args spec")
-        sp.add_argument("--weights", default="uniform", help="weight model")
-        sp.add_argument("--seed", type=int, default=0)
-
-    sp = sub.add_parser("spanner", help="build one spanner")
-    common(sp)
-    sp.add_argument(
-        "--algorithm",
-        choices=_spanner_algorithm_choices(),
-        default="general",
-        metavar="ALGO",
-        help="registry name or alias (see `repro list`)",
+    # Every flag that more than one subcommand takes, declared once.  A
+    # subcommand that needs another default overrides it with set_defaults.
+    shared = {
+        "--graph": dict(default="er:512:0.06", help="family:args spec"),
+        "--weights": dict(default="uniform", help="weight model"),
+        "--seed": dict(type=int, default=0, help="rng seed"),
+        "--algorithm": dict(
+            choices=_spanner_algorithm_choices(),
+            default="general",
+            metavar="ALGO",
+            help="spanner registry name or alias (see `repro list`)",
+        ),
+        "-k": dict(type=_at_least(1), default=8, help="stretch parameter"),
+        "-t": dict(type=int, default=2, help="growth parameter"),
+        "--json": dict(action="store_true", help="machine-readable output"),
+        "--jobs": dict(type=int, default=1, help="worker processes"),
+        "--store": dict(required=True, help="artifact store directory"),
+        "--key": dict(
+            default=None,
+            help="artifact key: names the ingested graph (default: content "
+            "hash of the meta), or selects one to serve (e.g. a sweep trial "
+            "id), skipping the configuration-hash resolution",
+        ),
+        "--kind": dict(
+            choices=["oracle", "sketch", "bundle"],
+            default="oracle",
+            help="artifact kind: spanner oracle rows, a Thorup-Zwick sketch, "
+            "or a bundle (graph + spanner + sketch) serving every backend",
+        ),
+        "--backend": dict(
+            choices=["auto", "exact", "oracle", "sketch", "tiered"],
+            default="auto",
+            help="answer path for bundle artifacts: a fixed backend, 'tiered' "
+            "(sketch answer refined by hot oracle rows), or 'auto' planner "
+            "routing on observed latency",
+        ),
+        "--stretch": dict(
+            type=float,
+            default=None,
+            metavar="S",
+            help="auto planner accuracy target: only backends whose declared "
+            "stretch bound is <= S are eligible",
+        ),
+        "--latency-target": dict(
+            type=float,
+            default=None,
+            metavar="MS",
+            help="auto planner latency SLO: route to the most accurate backend "
+            "whose observed p99 per query is under MS milliseconds",
+        ),
+        "--build": dict(
+            action="store_true",
+            help="build + persist the artifact when the store lacks it",
+        ),
+        "--cache-rows": dict(
+            type=_at_least(1),
+            default=4096,
+            help="LRU bound on cached per-source distance rows",
+        ),
+        "--shards": dict(
+            type=_at_least(0),
+            default=0,
+            help=">=2 partitions row solves across that many worker processes "
+            "(all attached to one shared-memory copy of the spanner)",
+        ),
+        "--eager": dict(
+            action="store_true",
+            help="materialize artifact arrays instead of memmapping them",
+        ),
+    }
+    graph = ("--graph", "--weights", "--seed")
+    spanner = ("--algorithm", "-k", "-t")
+    service = (
+        "--store", "--key", *graph, *spanner, "--kind", "--backend", "--stretch",
+        "--latency-target", "--build", "--cache-rows", "--shards", "--eager",
     )
-    sp.add_argument("-k", type=int, default=8)
-    sp.add_argument("-t", type=int, default=2)
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
-    sp.set_defaults(fn=_cmd_spanner)
 
-    sp = sub.add_parser("apsp", help="run an APSP pipeline")
-    common(sp)
+    def command(name: str, fn, *flags: str, **kwargs) -> argparse.ArgumentParser:
+        # A fresh parent per subcommand: argparse hands a parent's action
+        # objects to every child, so one child's set_defaults would
+        # otherwise change the default for all of them.
+        parent = argparse.ArgumentParser(add_help=False)
+        for flag in flags:
+            parent.add_argument(flag, **shared[flag])
+        sp = sub.add_parser(name, parents=[parent], **kwargs)
+        sp.set_defaults(fn=fn)
+        return sp
+
+    command(
+        "spanner", _cmd_spanner, *graph, *spanner, "--json", help="build one spanner"
+    )
+
+    sp = command("apsp", _cmd_apsp, *graph, "--json", help="run an APSP pipeline")
     sp.add_argument("--model", choices=["mpc", "cc"], default="mpc")
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
-    sp.set_defaults(fn=_cmd_apsp)
 
-    sp = sub.add_parser("tradeoff", help="print the closed-form tradeoff table")
-    sp.add_argument("-k", type=int, default=16)
-    sp.set_defaults(fn=_cmd_tradeoff)
+    sp = command(
+        "tradeoff", _cmd_tradeoff, "-k", help="print the closed-form tradeoff table"
+    )
+    sp.set_defaults(k=16)
 
-    sp = sub.add_parser("mpc", help="machine-level MPC run")
-    common(sp)
-    sp.add_argument("-k", type=int, default=8)
-    sp.add_argument("-t", type=int, default=3)
+    sp = command("mpc", _cmd_mpc, *graph, "-k", "-t", help="machine-level MPC run")
     sp.add_argument("--gamma", type=float, default=0.5)
-    sp.set_defaults(fn=_cmd_mpc)
+    sp.set_defaults(t=3)
 
-    sp = sub.add_parser("list", help="show registered algorithms + graph families")
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
-    sp.set_defaults(fn=_cmd_list)
+    command(
+        "list", _cmd_list, "--json", help="show registered algorithms + graph families"
+    )
 
-    sp = sub.add_parser(
-        "lint",
+    sp = command(
+        "lint", _cmd_lint, "--json",
         help="run the repo-invariant static analysis checks",
         description=(
             "AST-based checks for repo-specific correctness invariants "
@@ -884,7 +887,6 @@ def make_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit nonzero when any finding is reported",
     )
-    sp.add_argument("--json", action="store_true", help="emit findings as JSON")
     sp.add_argument(
         "--rule",
         action="append",
@@ -896,11 +898,12 @@ def make_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the registered rules and exit",
     )
-    sp.set_defaults(fn=_cmd_lint)
 
-    sp = sub.add_parser("sweep", help="run an experiment plan (JSON) in parallel")
+    sp = command(
+        "sweep", _cmd_sweep, "--jobs", "--json",
+        help="run an experiment plan (JSON) in parallel",
+    )
     sp.add_argument("--plan", required=True, help="path to an ExperimentPlan JSON file")
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes")
     sp.add_argument("--out", default=None, help="artifact directory (enables resume)")
     sp.add_argument(
         "--no-resume", action="store_true", help="re-run trials even if artifacts exist"
@@ -912,36 +915,14 @@ def make_parser() -> argparse.ArgumentParser:
         "artifact keyed by the trial id (see `repro query --store OUT/store`)",
     )
     sp.add_argument("--dry-run", action="store_true", help="list trials, run nothing")
-    sp.add_argument("--json", action="store_true", help="summary as JSON")
-    sp.set_defaults(fn=_cmd_sweep)
 
-    sp = sub.add_parser(
-        "bench", help="run the cross-algorithm benchmark suite"
-    )
-    sp.add_argument("--smoke", action="store_true", help="tiny sizes, single trial")
-    sp.add_argument(
-        "--out", default=None, help="write the suite record JSON to this path"
-    )
-    sp.add_argument(
-        "--baseline",
-        default=None,
-        help="committed BENCH_suite.json to gate against (>2x slowdown fails; "
-        "timer-noise cells are skipped with a reason)",
-    )
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
-    sp.set_defaults(fn=_cmd_bench)
-
-    sp = sub.add_parser(
-        "ingest",
+    sp = command(
+        "ingest", _cmd_ingest, "--store", "--key", "--json",
         help="convert a SNAP/whitespace edge list into a graph artifact "
         "(streaming parse, bounded memory)",
     )
     sp.add_argument(
         "path", help="edge-list file: 'u v [w]' per line, '#' comments, .gz ok"
-    )
-    sp.add_argument("--store", required=True, help="artifact store directory")
-    sp.add_argument(
-        "--key", default=None, help="artifact key (default: content hash of the meta)"
     )
     sp.add_argument(
         "--num-nodes",
@@ -960,92 +941,16 @@ def make_parser() -> argparse.ArgumentParser:
         default=None,
         help="data lines parsed per chunk (default: memory-budget autotuned)",
     )
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
-    sp.set_defaults(fn=_cmd_ingest)
 
-    def service_common(sp):
-        sp.add_argument("--store", required=True, help="artifact store directory")
-        sp.add_argument(
-            "--key",
-            default=None,
-            help="explicit artifact key (e.g. a sweep trial id); skips the "
-            "configuration-hash resolution",
-        )
-        sp.add_argument("--graph", default="er:512:0.06", help="family:args spec")
-        sp.add_argument(
-            "--algorithm",
-            default="general",
-            metavar="ALGO",
-            help="spanner algorithm used when building (see `repro list`)",
-        )
-        sp.add_argument("-k", type=int, default=8)
-        sp.add_argument("-t", type=int, default=2)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--weights", default="uniform", help="weight model")
-        sp.add_argument(
-            "--kind",
-            choices=["oracle", "sketch", "bundle"],
-            default="oracle",
-            help="artifact kind: spanner oracle rows, a Thorup-Zwick sketch, "
-            "or a bundle (graph + spanner + sketch) serving every backend",
-        )
-        sp.add_argument(
-            "--backend",
-            choices=["auto", "exact", "oracle", "sketch", "tiered"],
-            default="auto",
-            help="answer path for bundle artifacts: a fixed backend, 'tiered' "
-            "(sketch answer refined by hot oracle rows), or 'auto' planner "
-            "routing on observed latency",
-        )
-        sp.add_argument(
-            "--stretch",
-            type=float,
-            default=None,
-            metavar="S",
-            help="auto planner accuracy target: only backends whose declared "
-            "stretch bound is <= S are eligible",
-        )
-        sp.add_argument(
-            "--latency-target",
-            type=float,
-            default=None,
-            metavar="MS",
-            help="auto planner latency SLO: route to the most accurate backend "
-            "whose observed p99 per query is under MS milliseconds",
-        )
-        sp.add_argument(
-            "--build",
-            action="store_true",
-            help="build + persist the artifact when the store lacks it",
-        )
-        sp.add_argument(
-            "--cache-rows",
-            type=int,
-            default=4096,
-            help="LRU bound on cached per-source distance rows",
-        )
-        sp.add_argument(
-            "--shards",
-            type=int,
-            default=0,
-            help=">=2 partitions row solves across that many worker processes "
-            "(all attached to one shared-memory copy of the spanner)",
-        )
-        sp.add_argument(
-            "--eager",
-            action="store_true",
-            help="materialize artifact arrays instead of memmapping them",
-        )
-
-    sp = sub.add_parser(
-        "query", help="answer distance queries from a persisted artifact store"
+    sp = command(
+        "query", _cmd_query, *service, "--json",
+        help="answer distance queries from a persisted artifact store",
     )
-    service_common(sp)
     sp.add_argument(
         "--pairs", default=None, help="explicit workload: 'u:v,u:v,...'"
     )
     sp.add_argument(
-        "--num-pairs", type=int, default=16, help="generated workload size"
+        "--num-pairs", type=_at_least(0), default=16, help="generated workload size"
     )
     sp.add_argument("--pair-seed", type=int, default=0, help="workload rng seed")
     sp.add_argument(
@@ -1056,17 +961,17 @@ def make_parser() -> argparse.ArgumentParser:
         "(hot-source traffic); 0 = uniform",
     )
     sp.add_argument(
-        "--batch", type=int, default=1024, help="queries dispatched per engine batch"
+        "--batch",
+        type=_at_least(1),
+        default=1024,
+        help="queries dispatched per engine batch",
     )
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
-    sp.set_defaults(fn=_cmd_query)
 
-    sp = sub.add_parser(
-        "serve",
+    sp = command(
+        "serve", _cmd_serve, *service,
         help="serve distance queries: --socket HOST:PORT runs the "
         "micro-batching asyncio server, default is the stdin/stdout pipe",
     )
-    service_common(sp)
     sp.add_argument(
         "--socket",
         default=None,
@@ -1076,7 +981,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--max-batch",
-        type=int,
+        type=_at_least(1),
         default=256,
         help="largest batch one solve takes: a request reaching an idle "
         "server is solved at once, and those queued during a solve share "
@@ -1084,33 +989,22 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--max-pending",
-        type=int,
+        type=_at_least(1),
         default=8192,
         help="admission bound: queued requests beyond this are rejected "
         "with an explicit 'overloaded' error",
     )
-    sp.set_defaults(fn=_cmd_serve)
 
-    sp = sub.add_parser(
-        "verify", help="certify algorithms against their declared paper bounds"
+    sp = command(
+        "verify", _cmd_verify, *graph, "-k", "-t", "--jobs", "--json",
+        help="certify algorithms against their declared paper bounds",
     )
-    # Not common(): defaults stay None so --matrix can tell whether the
-    # singular flags were actually given and narrow the sweep accordingly.
-    sp.add_argument(
-        "--graph",
-        default=None,
-        help="family:args spec (default er:512:0.06; narrows --matrix)",
-    )
-    sp.add_argument("--weights", default=None, help="weight model (default uniform)")
-    sp.add_argument("--seed", type=int, default=None, help="rng seed (default 0)")
     sp.add_argument(
         "--algorithm",
         default=None,
         metavar="ALGO",
         help="registry name or alias to certify (single-run mode)",
     )
-    sp.add_argument("-k", type=int, default=None, help="stretch parameter")
-    sp.add_argument("-t", type=int, default=None, help="growth parameter")
     sp.add_argument(
         "--slack",
         type=float,
@@ -1120,21 +1014,16 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--matrix",
         action="store_true",
-        help="sweep a conformance matrix instead of certifying one run",
+        help="sweep a conformance matrix instead of certifying one run; the "
+        "singular --graph/--weights/--seed/-k/-t narrow it when given",
     )
-    sp.add_argument(
-        "--algorithms",
-        default=None,
-        help="comma-separated registry names for --matrix (default: all)",
-    )
-    sp.add_argument(
-        "--graphs",
-        default=None,
-        help="comma-separated graph specs for --matrix (default: representative set)",
-    )
-    sp.add_argument("--ks", default=None, help="comma-separated k values for --matrix")
-    sp.add_argument("--seeds", default=None, help="comma-separated seeds for --matrix")
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes for --matrix")
+    for flag, values in (
+        ("--algorithms", "registry names (default: all)"),
+        ("--graphs", "graph specs (default: representative set)"),
+        ("--ks", "k values"),
+        ("--seeds", "seeds"),
+    ):
+        sp.add_argument(flag, default=None, help=f"comma-separated {values} for --matrix")
     sp.add_argument(
         "--out",
         default=None,
@@ -1147,14 +1036,22 @@ def make_parser() -> argparse.ArgumentParser:
         "sweeps; default recertifies, so verdicts always reflect the "
         "currently registered claims)",
     )
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
-    sp.set_defaults(fn=_cmd_verify)
+    # None defaults let --matrix tell whether a singular flag was given;
+    # single-run mode fills in er:512:0.06, uniform weights and seed 0.
+    sp.set_defaults(graph=None, weights=None, seed=None, k=None, t=None)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        from .graphs.specs import GraphSpecError
+
+        if isinstance(exc, GraphSpecError):  # the one bad-spec boundary
+            raise SystemExit(f"bad graph spec: {exc}") from exc
+        raise
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -23,9 +23,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class _JsonStats:
-    """Shared JSON round-trip for the typed instrumentation records."""
+    """Shared JSON round-trip for the typed instrumentation records (a
+    mixin for dataclasses)."""
 
     def to_json(self) -> dict:
         """Plain-dict form, the exact value stored in ``SpannerResult.extra``."""
@@ -53,14 +53,23 @@ class MPCRunStats(_JsonStats):
     gamma: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass
 class StreamStats(_JsonStats):
-    """Streaming-pass accounting (the typed form of ``extra['stream']``)."""
+    """Streaming-pass accounting (the typed form of ``extra['stream']``).
+
+    Mutable: an :class:`~repro.streaming.stream.EdgeStream` accumulates
+    into one as it replays its passes.
+    """
 
     passes: int = 0
     peak_working_records: int = 0
-    per_pass_working: list = field(default_factory=list)
+    per_pass_working: list[int] = field(default_factory=list)
     edges_streamed: int = 0
+
+    def record_pass(self, working_records: int) -> None:
+        self.passes += 1
+        self.peak_working_records = max(self.peak_working_records, working_records)
+        self.per_pass_working.append(working_records)
 
 
 @dataclass(frozen=True)

@@ -321,12 +321,7 @@ def streaming_spanner(
         stats=stats,
         phase2_added=int(phase2.size),
     )
-    res.stream_stats = StreamStats(
-        passes=stream.stats.passes,
-        peak_working_records=stream.stats.peak_working_records,
-        per_pass_working=list(stream.stats.per_pass_working),
-        edges_streamed=stream.stats.edges_streamed,
-    )
+    res.stream_stats = stream.stats
     return res
 
 
@@ -502,10 +497,5 @@ def streaming_spanner_reference(
         stats=stats,
         phase2_added=len(phase2),
     )
-    res.stream_stats = StreamStats(
-        passes=stream.stats.passes,
-        peak_working_records=stream.stats.peak_working_records,
-        per_pass_working=list(stream.stats.per_pass_working),
-        edges_streamed=stream.stats.edges_streamed,
-    )
+    res.stream_stats = stream.stats
     return res

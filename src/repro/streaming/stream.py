@@ -17,35 +17,19 @@ and documented as a substitution in DESIGN.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..core import membudget
 from ..core.params import coerce_rng
+from ..core.results import StreamStats
 from ..graphs.graph import WeightedGraph
 
-__all__ = ["EdgeStream", "StreamStats"]
+__all__ = ["EdgeStream"]
 
 # Per-edge working cost of one streamed chunk: the four yielded arrays
 # (u, v, w, eid — 8 bytes each) plus a comparable allowance for the
 # consumer's fold scratch (group keys, minima, masks).
 _EDGE_BYTES = 64
-
-
-@dataclass
-class StreamStats:
-    """Accounting for one streaming execution."""
-
-    passes: int = 0
-    edges_streamed: int = 0
-    peak_working_records: int = 0
-    per_pass_working: list[int] = field(default_factory=list)
-
-    def record_pass(self, working_records: int) -> None:
-        self.passes += 1
-        self.peak_working_records = max(self.peak_working_records, working_records)
-        self.per_pass_working.append(working_records)
 
 
 class EdgeStream:

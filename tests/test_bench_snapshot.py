@@ -5,7 +5,9 @@ each exporting ``run``, ``format_table``, ``gates`` and ``headline``.
 These tests hold every suite to that contract without running a
 benchmark: the committed ``BENCH_*.json`` files pass their own gates,
 a record altered to break a gate fails exactly that gate, and every
-headline number the trajectory diff prints is present.
+headline number the trajectory diff prints is present.  The script itself
+runs once on a stubbed suite: a smoke run leaves the committed record
+alone and is gated against it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import importlib
 import importlib.util
 import json
 import os
+import shutil
 
 import pytest
 
@@ -115,3 +118,50 @@ def test_baseline_gates_run_only_with_a_committed_record():
         record = _committed(name)
         assert gate not in _verdicts(name, record)
         assert _verdicts(name, record, record)[gate]
+
+
+@pytest.fixture(scope="module")
+def suite_smoke_record() -> dict:
+    """A smoke-scale cross-algorithm record, cut from the committed full
+    record's ``smoke_ref`` so no benchmark has to run."""
+    full = _committed("suite")
+    record = {k: v for k, v in full.items() if k != "smoke_ref"}
+    return {**record, **full["smoke_ref"], "smoke": True}
+
+
+def test_smoke_run_keeps_the_committed_record(
+    tmp_path, monkeypatch, capsys, suite_smoke_record
+):
+    committed = tmp_path / "BENCH_suite.json"
+    shutil.copy(os.path.join(REPO_ROOT, "BENCH_suite.json"), committed)
+    before = committed.read_bytes()
+    monkeypatch.setattr(bench_snapshot, "REPO_ROOT", str(tmp_path))
+    monkeypatch.setattr(_suite("suite"), "run", lambda *, smoke: suite_smoke_record)
+
+    assert bench_snapshot.main(["--suite", "suite", "--smoke", "--skip-lint"]) == 0
+    assert committed.read_bytes() == before
+    smoke_out = tmp_path / "bench" / "BENCH_suite.json"
+    assert json.loads(smoke_out.read_text()) == suite_smoke_record
+    # Gated against the committed record's smoke_ref, which it matches.
+    assert "slowdown gate: machine-speed factor (median ratio): 1.00x" in capsys.readouterr().out
+
+
+def test_baseline_is_the_committed_record_whatever_out_says(
+    tmp_path, monkeypatch, suite_smoke_record
+):
+    shutil.copy(os.path.join(REPO_ROOT, "BENCH_suite.json"), tmp_path / "BENCH_suite.json")
+    # A decoy at --out that the smoke record would fail the slowdown gate against.
+    decoy = copy.deepcopy(suite_smoke_record)
+    slowest = max(decoy["algorithms"], key=lambda a: decoy["algorithms"][a]["wall_s"])
+    decoy["algorithms"][slowest]["wall_s"] /= 10
+    out = tmp_path / "elsewhere" / "suite.json"
+    out.parent.mkdir()
+    out.write_text(json.dumps(decoy))
+    monkeypatch.setattr(bench_snapshot, "REPO_ROOT", str(tmp_path))
+    monkeypatch.setattr(_suite("suite"), "run", lambda *, smoke: suite_smoke_record)
+
+    assert bench_snapshot.main(
+        ["--suite", "suite", "--smoke", "--skip-lint", "--out", str(out)]
+    ) == 0
+    assert json.loads(out.read_text()) == suite_smoke_record
+    assert not (tmp_path / "bench").exists()

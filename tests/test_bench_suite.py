@@ -1,4 +1,4 @@
-"""The cross-algorithm benchmark suite: record shape, gates, and CLI.
+"""The cross-algorithm benchmark suite: record shape and gates.
 
 Runs :func:`repro.bench.run` in smoke mode once (module fixture) and
 checks that every registered algorithm is measured, that the hot-loop
@@ -144,35 +144,6 @@ class TestHotLoopGates:
         ok, reasons = hot_loop_gates(full)
         assert not ok
         assert any("NOT bit-identical" in r for r in reasons)
-
-
-class TestBenchCLI:
-    def test_smoke_json_with_baseline(self, record, tmp_path):
-        from repro.cli import main
-
-        base = tmp_path / "baseline.json"
-        base.write_text(json.dumps(record))
-        out = tmp_path / "BENCH_suite.json"
-        rc = main(
-            [
-                "bench",
-                "--smoke",
-                "--json",
-                "--out",
-                str(out),
-                "--baseline",
-                str(base),
-            ]
-        )
-        assert rc == 0
-        written = json.loads(out.read_text())
-        assert set(written["algorithms"]) == set(algorithm_names())
-
-    def test_bad_baseline_is_cli_error(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit, match="baseline"):
-            main(["bench", "--smoke", "--baseline", str(tmp_path / "missing.json")])
 
 
 def test_committed_snapshot_matches_protocol():

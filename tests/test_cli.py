@@ -3,43 +3,53 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.cli import build_graph, main
+from repro.cli import main
+from repro.graphs import build_graph_from_spec
 from repro.registry import algorithm_names
 
 
 class TestBuildGraph:
     def test_er(self):
-        g = build_graph("er:50:0.2", seed=1)
+        g = build_graph_from_spec("er:50:0.2", weights="uniform", seed=1)
         assert g.n == 50
 
     def test_ba(self):
-        g = build_graph("ba:40:2", seed=1)
+        g = build_graph_from_spec("ba:40:2", weights="uniform", seed=1)
         assert g.n == 40
 
     def test_grid(self):
-        assert build_graph("grid:4:5").n == 20
+        assert build_graph_from_spec("grid:4:5", weights="uniform").n == 20
 
     def test_geo(self):
-        assert build_graph("geo:30:0.5", seed=2).n == 30
+        assert build_graph_from_spec("geo:30:0.5", weights="uniform", seed=2).n == 30
 
     def test_cliques(self):
-        assert build_graph("cliques:4:5").n == 20
+        assert build_graph_from_spec("cliques:4:5", weights="uniform").n == 20
 
     def test_new_families_reachable(self):
-        assert build_graph("torus:4:5").n == 20
-        assert build_graph("complete:10").n == 10
-        assert build_graph("tree:15", seed=1).n == 15
+        assert build_graph_from_spec("torus:4:5", weights="uniform").n == 20
+        assert build_graph_from_spec("complete:10", weights="uniform").n == 10
+        assert build_graph_from_spec("tree:15", weights="uniform", seed=1).n == 15
 
     def test_bad_family(self):
-        with pytest.raises(SystemExit):
-            build_graph("hypercube:4")
+        with pytest.raises(SystemExit, match="bad graph spec"):
+            main(["spanner", "--graph", "hypercube:4"])
 
     def test_bad_args(self):
-        with pytest.raises(SystemExit):
-            build_graph("er:notanint:0.5")
+        with pytest.raises(SystemExit, match="bad graph spec"):
+            main(["apsp", "--graph", "er:notanint:0.5"])
+
+    @pytest.mark.parametrize("command", ["mpc", "query", "serve"])
+    def test_every_command_reports_a_bad_spec(self, command, tmp_path):
+        store = [] if command == "mpc" else ["--store", str(tmp_path)]
+        with pytest.raises(SystemExit, match="bad graph spec"):
+            main([command, "--graph", "nope:1", *store])
 
 
 class TestSpanner:
@@ -186,10 +196,52 @@ class TestSweep:
             main(["sweep", "--plan", str(path)])
 
 
+class TestDependencies:
+    def test_cli_runs_without_networkx(self):
+        code = (
+            "import sys; sys.modules['networkx'] = None\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(['spanner', '--graph', 'er:40:0.2', '-k', '3']))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "stretch: max" in proc.stdout
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--batch", "0"],
+            ["query", "--num-pairs", "-3"],
+            ["query", "--cache-rows", "0"],
+            ["query", "--shards", "-1"],
+            ["query", "-k", "0"],
+            ["serve", "--max-batch", "0"],
+            ["serve", "--max-pending", "0"],
+        ],
+    )
+    def test_out_of_range_numbers_are_usage_errors(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--store", str(tmp_path / "store"), "--build"])
+        assert exc.value.code == 2
+        assert "must be >=" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()  # rejected before any work
+
+    def test_algorithm_choices_are_spanners_for_service_commands(self, capsys):
+        for command in ("query", "serve"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--store", "unused", "--algorithm", "apsp-mpc"])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.distances import DistanceSketch, SpannerDistanceOracle
 from repro.graphs import WeightedGraph
 from repro.graphs.distances import batched_capped_bfs, batched_sssp
-from repro.cli import build_graph
+from repro.graphs import build_graph_from_spec
 from repro.service import ArtifactStore
 
 from tests.strategies import graph_spec_strings
@@ -39,7 +39,7 @@ def _as_int32(g: WeightedGraph) -> WeightedGraph:
 
 class TestInt32GraphConstruction:
     def test_int32_endpoints_preserved(self):
-        g = _as_int32(build_graph("er:40:0.2", weights="uniform", seed=1))
+        g = _as_int32(build_graph_from_spec("er:40:0.2", weights="uniform", seed=1))
         assert g.edges_u.dtype == np.int32 and g.edges_v.dtype == np.int32
         assert g.csr.indices.dtype == np.int32
         assert g.csr.indptr.dtype == np.int32
@@ -67,7 +67,7 @@ class TestInt32GraphConstruction:
 @settings(max_examples=25, deadline=None)
 @given(spec=graph_spec_strings(max_n=48), seed=st.integers(0, 10**6))
 def test_batched_sssp_bit_identical_across_index_dtypes(spec, seed):
-    g = build_graph(spec, weights="uniform", seed=seed)
+    g = build_graph_from_spec(spec, weights="uniform", seed=seed)
     g32 = _as_int32(g)
     rng = np.random.default_rng(seed)
     sources = rng.integers(0, g.n, size=min(8, g.n))
@@ -77,7 +77,7 @@ def test_batched_sssp_bit_identical_across_index_dtypes(spec, seed):
 @settings(max_examples=15, deadline=None)
 @given(spec=graph_spec_strings(max_n=40), seed=st.integers(0, 10**6))
 def test_sketch_query_many_bit_identical_across_index_dtypes(spec, seed):
-    g = build_graph(spec, weights="uniform", seed=seed)
+    g = build_graph_from_spec(spec, weights="uniform", seed=seed)
     sk = DistanceSketch(g, k=3, rng=seed)
     sk32 = DistanceSketch.from_arrays(
         _as_int32(g),
@@ -99,7 +99,7 @@ def test_sketch_query_many_bit_identical_across_index_dtypes(spec, seed):
 @settings(max_examples=15, deadline=None)
 @given(spec=graph_spec_strings(max_n=40), seed=st.integers(0, 10**6))
 def test_capped_bfs_bit_identical_across_index_dtypes(spec, seed):
-    g = build_graph(spec, weights="unit", seed=seed)
+    g = build_graph_from_spec(spec, weights="unit", seed=seed)
     g32 = _as_int32(g)
     rng = np.random.default_rng(seed)
     sources = rng.integers(0, g.n, size=min(6, g.n))
@@ -114,7 +114,7 @@ class TestBigN:
     flat (vertex, vertex) key arithmetic exceeds int32 range."""
 
     def test_batched_sssp_on_grid_65536(self):
-        g = build_graph("grid:256:256", weights="uniform", seed=0)  # n = 2**16
+        g = build_graph_from_spec("grid:256:256", weights="uniform", seed=0)  # n = 2**16
         g32 = _as_int32(g)
         sources = np.array([0, 32767, 65535])
         assert np.array_equal(batched_sssp(g, sources), batched_sssp(g32, sources))
@@ -162,7 +162,7 @@ class TestBigN:
             assert sk.query(u, v) == loaded.query(u, v)
 
     def test_oracle_store_downcasts_and_roundtrips(self, tmp_path):
-        g = build_graph("er:300:0.04", weights="uniform", seed=3)
+        g = build_graph_from_spec("er:300:0.04", weights="uniform", seed=3)
         oracle = SpannerDistanceOracle(g, k=3, t=2, rng=0)
         store = ArtifactStore(tmp_path)
         key = store.save_oracle(oracle)
