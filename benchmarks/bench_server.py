@@ -215,7 +215,7 @@ async def _measure_point(
         server.reset_stats()
         run = await _open_loop(server, pairs[warm:], rate, cfg["clients"])
         stats = server.stats()
-    hist = {int(k): v for k, v in stats["batch_size_hist"].items()}
+    hist = dict(stats["batch_size_hist"])
     weighted = sum(k * v for k, v in hist.items())
     return {
         "mode": "naive" if naive else "micro_batch",
@@ -225,7 +225,7 @@ async def _measure_point(
         "wall_s": round(run["wall_s"], 4),
         "achieved_qps": round(run["achieved_qps"], 1),
         "latency_ms": _latency_record(run["latencies_s"]),
-        "batch_size_hist": {str(k): v for k, v in sorted(hist.items())},
+        "batch_size_hist": stats["batch_size_hist"],
         "batch_size_mean": round(weighted / max(sum(hist.values()), 1), 2),
         "batch_size_max": max(hist, default=0),
         "server_rejected": stats["rejected"],

@@ -62,6 +62,17 @@ Malformed lines never kill the connection: they get
 ``{"error": ..., "line": N}`` replies, with ``N`` the 1-based line number
 on that connection.
 
+Framing: lines end at ``\n`` (a ``\r`` before it is JSON whitespace), are
+UTF-8 (a leading byte-order mark is skipped), and count toward ``N``
+even when blank (a blank line gets no reply).  The server reads whatever bytes a connection has ready and
+splits them into lines itself, so a burst of pipelined requests costs one
+wake-up, and it drains the connection once per read, only when replies
+are still buffered.  A line longer than :data:`MAX_LINE` bytes gets
+``{"error": "line too long: ...", "line": N}``; the rest of it, up to its
+newline, is discarded and the connection keeps serving.  When a client
+closes its side, an unterminated last line is still served, and the
+connection closes only after every request it sent has its reply.
+
 The legacy ``repro serve`` stdin/stdout pipe mode shares
 :func:`serve_pipe`, which applies the same malformed-line hardening.
 """
@@ -69,6 +80,7 @@ The legacy ``repro serve`` stdin/stdout pipe mode shares
 from __future__ import annotations
 
 import asyncio
+import codecs
 import json
 import math
 import queue
@@ -93,6 +105,11 @@ __all__ = [
 #: its percentiles; older samples drop out, so memory and the cost of a
 #: ``stats`` call stay bounded however long the server runs.
 LATENCY_SAMPLES = 65536
+
+#: Longest request line, in bytes without its newline: asyncio's default
+#: stream limit, which bounded a line when the server read with
+#: ``readline``.  Also the most one read takes from a connection.
+MAX_LINE = 2**16
 
 
 def latency_summary(latencies_s) -> dict:
@@ -131,7 +148,7 @@ def parse_hostport(text: str, *, default_host: str = "127.0.0.1") -> tuple[str, 
     return host, port
 
 
-@dataclass
+@dataclass(slots=True)
 class _Request:
     """One admitted query, waiting for the next batch."""
 
@@ -145,6 +162,17 @@ class _Request:
 
 def _encode(payload: dict) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode() + b"\n"
+
+
+def _encode_answer(rid, d: float) -> bytes:
+    """``_encode({"id": rid, "d": d})`` (``d: null`` unless finite), built
+    directly from ``repr`` when ``rid`` is an ``int``: ``json.dumps``
+    writes an ``int`` and a finite ``float`` exactly so."""
+    if type(rid) is not int:
+        return _encode({"id": rid, "d": d if math.isfinite(d) else None})
+    if math.isfinite(d):
+        return b'{"id":%d,"d":%a}\n' % (rid, d)
+    return b'{"id":%d,"d":null}\n' % rid
 
 
 def _settle(fut: asyncio.Future, result) -> None:
@@ -193,6 +221,9 @@ class QueryServer:
         self.port = port
         self.max_batch = int(max_batch)
         self.max_pending = int(max_pending)
+        # What admission checks every query against, read once.
+        self._n = engine.n
+        self._backends = frozenset(engine.backends() if hasattr(engine, "backends") else ())
 
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -207,6 +238,14 @@ class QueryServer:
         self._drain_tasks: set[asyncio.Task] = set()
         self._handlers: set[asyncio.Task] = set()
         self._conns: set[asyncio.StreamWriter] = set()
+        # Requests admitted and settled (answered or failed) so far, and
+        # the closing connections waiting for a count of settled ones:
+        # batches settle in admission order, so a connection's requests
+        # all have replies once ``_settled`` reaches ``_admitted`` as it
+        # was when the connection hit EOF.
+        self._admitted = 0
+        self._settled = 0
+        self._eof_waits: deque[tuple[int, asyncio.Future]] = deque()
         self._draining = False
         self._closed = False
         self._t0 = time.perf_counter()
@@ -304,9 +343,7 @@ class QueryServer:
             "uptime_s": round(uptime, 3),
             "qps": round(self.served / uptime, 1) if uptime > 0 else 0.0,
             "latency_ms": latency_summary(self.latencies_s),
-            "batch_size_hist": {
-                str(k): v for k, v in sorted(self.batch_size_hist.items())
-            },
+            "batch_size_hist": [[k, v] for k, v in sorted(self.batch_size_hist.items())],
             "backend_served": {
                 k: self.backend_served[k] for k in sorted(self.backend_served)
             },
@@ -323,15 +360,40 @@ class QueryServer:
         task.add_done_callback(self._handlers.discard)
         self._conns.add(writer)
         lineno = 0
+        # The current line's bytes from earlier reads: each read is split
+        # on its own newlines only, so a line sent in many small pieces
+        # costs time linear in its length.
+        part = bytearray()
+        skipping = False  # discarding an over-long line up to its newline
         try:
-            while True:
-                raw = await reader.readline()
-                if not raw:
-                    break
-                lineno += 1
-                if not raw.strip():
-                    continue
-                await self._dispatch(raw, lineno, writer)
+            while chunk := await reader.read(MAX_LINE):
+                lines = chunk.split(b"\n")
+                rest = lines.pop()  # after this read's last newline
+                if lines:
+                    if skipping:  # the over-long line's end, answered already
+                        del lines[0]
+                        skipping = False
+                    elif part:
+                        lines[0] = b"".join((part, lines[0]))
+                        part.clear()
+                    for raw in lines:
+                        lineno += 1
+                        self._dispatch(raw, lineno, writer)
+                if not skipping:
+                    part += rest
+                    if len(part) > MAX_LINE:  # answered now, not at its newline
+                        lineno += 1
+                        self._dispatch(part, lineno, writer)
+                        part.clear()
+                        skipping = True
+                if writer.transport.get_write_buffer_size():
+                    await self._drain_writer(writer)
+            if part:
+                self._dispatch(bytes(part), lineno + 1, writer)
+            if self._settled < self._admitted:
+                done = self._loop.create_future()
+                self._eof_waits.append((self._admitted, done))
+                await done
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -342,50 +404,56 @@ class QueryServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _dispatch(self, raw: bytes, lineno: int, writer) -> None:
+    def _dispatch(self, raw: bytes, lineno: int, writer) -> None:
+        """Answer or admit one line (its newline stripped); blank lines
+        get no reply."""
+        if len(raw) > MAX_LINE:
+            self._reply_error(writer, None, lineno, f"line too long: over {MAX_LINE} bytes")
+            return
+        if not raw.strip():
+            return
+        if raw.startswith(codecs.BOM_UTF8):  # as json.loads(bytes) allows
+            raw = raw[len(codecs.BOM_UTF8) :]
         try:
-            msg = json.loads(raw)
+            msg = json.loads(raw.decode("utf-8", "surrogatepass"))
             if not isinstance(msg, dict):
                 raise ValueError(f"expected a JSON object, got {type(msg).__name__}")
-        except ValueError as exc:
-            await self._reply_error(writer, None, lineno, f"bad JSON: {exc}")
+        except (ValueError, RecursionError) as exc:  # deep nesting recurses
+            self._reply_error(writer, None, lineno, f"bad JSON: {exc}")
             return
         rid = msg.get("id")
         op = msg.get("op", "query")
         if op == "query":
             err = self._admit(msg, rid, writer)
             if err is not None:
-                await self._reply_error(writer, rid, lineno, err)
-            return
-        if op == "stats":
+                self._reply_error(writer, rid, lineno, err)
+        elif op == "stats":
             writer.write(_encode({"id": rid, "stats": self.stats()}))
-            await self._drain_writer(writer)
-            return
-        if op == "ping":
+        elif op == "ping":
             writer.write(_encode({"id": rid, "pong": True}))
-            await self._drain_writer(writer)
-            return
-        await self._reply_error(writer, rid, lineno, f"unknown op {op!r}")
+        else:
+            self._reply_error(writer, rid, lineno, f"unknown op {op!r}")
 
     def _admit(self, msg: dict, rid, writer) -> str | None:
         """Validate + enqueue one query; returns an error string to reject."""
         u, v = msg.get("u"), msg.get("v")
-        if not isinstance(u, int) or not isinstance(v, int) or isinstance(u, bool) or isinstance(v, bool):
+        # JSON gives ints and bools only; bools are not vertex ids.
+        if type(u) is not int or type(v) is not int:
             return f"u and v must be integers, got u={u!r} v={v!r}"
-        if not (0 <= u < self.engine.n and 0 <= v < self.engine.n):
-            return f"vertex out of range for n={self.engine.n}: u={u} v={v}"
+        if not (0 <= u < self._n and 0 <= v < self._n):
+            return f"vertex out of range for n={self._n}: u={u} v={v}"
         backend = msg.get("backend")
         if backend is not None:
             if not isinstance(backend, str):
                 return f"backend must be a string, got {backend!r}"
-            have = self.engine.backends() if hasattr(self.engine, "backends") else ()
-            if backend not in have:
-                if not have:
+            if backend not in self._backends:
+                if not self._backends:
                     return (
                         "this server answers from a single fixed backend; "
                         "serve a 'bundle' artifact to route per-query backends"
                     )
-                return f"unknown backend {backend!r} (have: {', '.join(have)})"
+                have = ", ".join(sorted(self._backends))
+                return f"unknown backend {backend!r} (have: {have})"
         if self._draining:
             self.rejected += 1
             return "draining"
@@ -393,16 +461,16 @@ class QueryServer:
             self.rejected += 1
             return "overloaded"
         self._pending.append(_Request(u, v, rid, writer, time.perf_counter(), backend))
+        self._admitted += 1
         self._arm()
         return None
 
-    async def _reply_error(self, writer, rid, lineno: int, error: str) -> None:
+    def _reply_error(self, writer, rid, lineno: int, error: str) -> None:
         self.protocol_errors += 1
         payload = {"error": error, "line": lineno}
         if rid is not None:
             payload["id"] = rid
         writer.write(_encode(payload))
-        await self._drain_writer(writer)
 
     @staticmethod
     async def _drain_writer(writer) -> None:
@@ -443,6 +511,9 @@ class QueryServer:
                     self._fail(group, answers)
                 else:
                     self._deliver(group, answers, backend=backend)
+            self._settled += take
+            while self._eof_waits and self._eof_waits[0][0] <= self._settled:
+                _settle(self._eof_waits.popleft()[1], None)
         self._flush_task = None
 
     def _solver_main(self) -> None:
@@ -481,10 +552,8 @@ class QueryServer:
         label = backend or "auto"
         self.backend_served[label] = self.backend_served.get(label, 0) + len(batch)
         replies = []
-        for req, d in zip(batch, answers):
-            d = float(d)
-            payload = {"id": req.rid, "d": d if math.isfinite(d) else None}
-            replies.append((req.writer, _encode(payload)))
+        for req, d in zip(batch, np.asarray(answers, dtype=np.float64).tolist()):
+            replies.append((req.writer, _encode_answer(req.rid, d)))
             self.latencies_s.append(now - req.t0)
         self.served += len(batch)
         self._write_replies(replies)
