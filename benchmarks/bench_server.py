@@ -46,6 +46,7 @@ from repro.core.params import coerce_rng
 from repro.distances import SpannerDistanceOracle
 from repro.graphs.specs import GraphSpec
 from repro.service import ArtifactStore, AsyncClient, QueryEngine, QueryServer
+from repro.service.server import latency_summary
 from repro.service.shm import shm_segments
 
 from bench_service import zipf_sources
@@ -175,12 +176,6 @@ async def _open_loop(
     }
 
 
-def _latency_record(latencies_s: np.ndarray) -> dict:
-    from repro.service.server import latency_summary
-
-    return latency_summary(latencies_s)
-
-
 def _fresh_engine(store: ArtifactStore, key: str, cfg: dict, *, shards: int = 0):
     return QueryEngine.from_store(
         store, key, cache_rows=cfg["cache_rows"], shards=shards
@@ -200,7 +195,8 @@ async def _measure_point(
     """One sweep point: fresh engine + server, warmup, measured open loop.
 
     ``naive`` serves with ``max_batch=1`` (one solve per
-    request) — the duel baseline.
+    request) — the duel baseline.  Server counters are the difference
+    between the snapshots after warmup and after the measured loop.
     """
     warm = cfg["warmup"]
     engine = _fresh_engine(store, key, cfg, shards=shards)
@@ -212,10 +208,13 @@ async def _measure_point(
     async with server:
         if warm:
             await _open_loop(server, pairs[:warm], rate, cfg["clients"])
-        server.reset_stats()
+        before = server.stats()
         run = await _open_loop(server, pairs[warm:], rate, cfg["clients"])
-        stats = server.stats()
-    hist = dict(stats["batch_size_hist"])
+        after = server.stats()
+    hist = dict(after["batch_size_hist"])
+    for size, count in before["batch_size_hist"]:
+        hist[size] -= count
+    hist = {size: count for size, count in hist.items() if count}
     weighted = sum(k * v for k, v in hist.items())
     return {
         "mode": "naive" if naive else "micro_batch",
@@ -224,11 +223,11 @@ async def _measure_point(
         "errors": run["errors"],
         "wall_s": round(run["wall_s"], 4),
         "achieved_qps": round(run["achieved_qps"], 1),
-        "latency_ms": _latency_record(run["latencies_s"]),
-        "batch_size_hist": stats["batch_size_hist"],
+        "latency_ms": latency_summary(run["latencies_s"]),
+        "batch_size_hist": [[k, v] for k, v in sorted(hist.items())],
         "batch_size_mean": round(weighted / max(sum(hist.values()), 1), 2),
         "batch_size_max": max(hist, default=0),
-        "server_rejected": stats["rejected"],
+        "server_rejected": after["rejected"] - before["rejected"],
         "answers": run["answers"],  # stripped before the record is returned
     }
 

@@ -19,15 +19,15 @@ engine adds only what a serving replica needs on top:
   sharded and serial engines answer bit-identically — Dijkstra runs are
   independent per source.  :meth:`close` (or interpreter exit, via an
   atexit hook) unlinks the segment.
-* **Accounting** — per-call latency and batch sizes of
-  :meth:`query_many`, plus rows solved, solve time and cache counters
-  summed over the engine's row providers, in :meth:`stats`.
+* **Accounting** — the engine keeps no counters of its own.
+  :meth:`stats` reads queries, batches and wall time from the provider
+  it calls (which records a call only once it succeeds), and sums rows
+  solved, solve time and cache counters over its row providers.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -127,17 +127,6 @@ class QueryEngine:
             self.graph = self.provider.graph
         self._rows = [p.rows for p in providers.values() if hasattr(p, "rows")]
         self.n = self.provider.n
-        self.queries_served = 0
-        self.batches = 0
-        # Cumulative latency/batch accounting (the serving layer's SLO
-        # numbers come from here, one source of truth): total wall time
-        # inside query_many, rows attributable to query_many calls, a
-        # pairs-per-call histogram, and a bounded per-call log (pairs,
-        # rows, wall_s, solve_s).
-        self.query_many_wall_s = 0.0
-        self.batch_rows_solved = 0
-        self._batch_pairs_hist: dict[int, int] = {}
-        self.call_log: deque[dict] = deque(maxlen=1024)
 
     # ------------------------------------------------------------------
     # Construction from persisted artifacts
@@ -209,18 +198,6 @@ class QueryEngine:
             return np.concatenate([f.result() for f in futures], axis=0)
         return batched_sssp(self.graph, missing)
 
-    def _solve_totals(self) -> tuple[int, float]:
-        """Rows solved and solve wall seconds, summed over the row providers."""
-        rows, wall = 0, 0.0
-        for r in self._rows:
-            rows += r.rows_solved
-            wall += r.solve_wall_s
-        return rows, wall
-
-    @property
-    def rows_solved(self) -> int:
-        return self._solve_totals()[0]
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -255,7 +232,6 @@ class QueryEngine:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError("vertex out of range")
         route = self._route(backend)
-        self.queries_served += 1
         return self.provider.query(u, v, **route)
 
     def query_many(self, pairs, *, backend: str | None = None) -> np.ndarray:
@@ -275,27 +251,7 @@ class QueryEngine:
         pairs = pairs.reshape(-1, 2)
         if pairs.min() < 0 or pairs.max() >= self.n:
             raise ValueError("vertex out of range")
-        self.queries_served += pairs.shape[0]
-        self.batches += 1
-        start = time.perf_counter()
-        rows_before, solve_before = self._solve_totals()
-        out = self.provider.query_many(pairs, **route)
-        wall = time.perf_counter() - start
-        rows_after, solve_after = self._solve_totals()
-        npairs = int(pairs.shape[0])
-        rows = rows_after - rows_before
-        self.query_many_wall_s += wall
-        self.batch_rows_solved += rows
-        self._batch_pairs_hist[npairs] = self._batch_pairs_hist.get(npairs, 0) + 1
-        self.call_log.append(
-            {
-                "pairs": npairs,
-                "rows": rows,
-                "wall_s": wall,
-                "solve_s": solve_after - solve_before,
-            }
-        )
-        return out
+        return self.provider.query_many(pairs, **route)
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -303,13 +259,14 @@ class QueryEngine:
     def stats(self) -> dict:
         """Serving counters plus row-cache effectiveness (JSON-ready).
 
-        The ``timing`` and ``batch_sizes`` keys are the cumulative
-        latency/batch accounting the socket server's SLO report reads.
-        ``rows_solved``, ``timing.solve_wall_s`` and ``cache`` are summed
-        over the engine's row providers (a sketch engine has none, so its
-        cache reports capacity 0).  Bundle-backed engines report
-        ``backend="planned"`` plus a ``planner`` key with per-backend
-        counters.
+        ``queries_served``, ``batches`` (a single :meth:`query` is a batch
+        of one) and ``wall_s`` are the counters of the provider the engine
+        calls, so a solve that raises counts nothing.  ``rows_solved``,
+        ``solve_wall_s`` and ``cache`` are summed over the engine's row
+        providers (a sketch engine has none, so its cache reports capacity
+        0).  Bundle-backed engines report ``backend="planned"`` plus a
+        ``planner`` key with per-backend counters.  Counters only grow:
+        diff two snapshots to measure an interval.
         """
         caches = [r.cache.stats() for r in self._rows]
         cache_stats = {
@@ -325,33 +282,13 @@ class QueryEngine:
             "n": self.n,
             "m": self.graph.m,
             "shards": self.shards,
-            "queries_served": self.queries_served,
-            "batches": self.batches,
-            "rows_solved": self.rows_solved,
+            "queries_served": self.provider.queries_served,
+            "batches": self.provider.batches,
+            "wall_s": round(self.provider.wall_s, 6),
+            "rows_solved": sum(r.rows_solved for r in self._rows),
+            "solve_wall_s": round(sum(r.solve_wall_s for r in self._rows), 6),
             "cache": cache_stats,
             **({"planner": self.planner.stats()} if self.planner is not None else {}),
-            "timing": {
-                "query_many_wall_s": round(self.query_many_wall_s, 6),
-                "solve_wall_s": round(self._solve_totals()[1], 6),
-                "batch_rows_solved": self.batch_rows_solved,
-                "rows_per_call_mean": (
-                    round(self.batch_rows_solved / self.batches, 3)
-                    if self.batches
-                    else 0.0
-                ),
-                "pairs_per_call_mean": (
-                    round(
-                        sum(k * v for k, v in self._batch_pairs_hist.items())
-                        / self.batches,
-                        3,
-                    )
-                    if self.batches
-                    else 0.0
-                ),
-            },
-            "batch_sizes": {
-                str(k): v for k, v in sorted(self._batch_pairs_hist.items())
-            },
             "membudget": {
                 "budget_bytes": membudget.resolve_budget(),
                 "sites": membudget.accounting(),

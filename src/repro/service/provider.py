@@ -25,8 +25,8 @@ batch of a bundle from a declarative :class:`PlanTarget`:
 
 * ``backend="exact" | "oracle" | "sketch" | "tiered"`` — fixed routing;
 * ``backend="auto"`` — pick the cheapest backend (by observed per-query
-  latency EWMAs, the same accounting ``QueryEngine.stats()["timing"]``
-  reports) whose declared stretch bound satisfies ``max_stretch``; with a
+  latency EWMAs, the accounting each backend reports under
+  ``QueryEngine.stats()["planner"]["backends"]``) whose declared stretch bound satisfies ``max_stretch``; with a
   ``p99_ms`` latency target the planner instead picks the *most accurate*
   backend whose observed p99 meets the target, falling back to the
   fastest when nothing does.
@@ -399,7 +399,6 @@ class PlannedProvider(_TimedProvider):
                 f"(have: {', '.join(sorted(self.providers))})"
             )
         self.n = next(iter(self.providers.values())).n
-        self.routed: dict[str, int] = {name: 0 for name in self.providers}
 
     @property
     def stretch_bound(self) -> float:
@@ -460,24 +459,20 @@ class PlannedProvider(_TimedProvider):
         return name
 
     def _query(self, u: int, v: int, *, backend: str | None = None) -> float:
-        name = self._pick(backend)
-        out = self.providers[name].query(u, v)
-        self.routed[name] += 1
-        return out
+        return self.providers[self._pick(backend)].query(u, v)
 
     def _query_many(
         self, pairs: np.ndarray, *, backend: str | None = None
     ) -> np.ndarray:
-        name = self._pick(backend)
-        out = self.providers[name].query_many(pairs)
-        self.routed[name] += int(pairs.shape[0])
-        return out
+        return self.providers[self._pick(backend)].query_many(pairs)
 
     def stats(self) -> dict:
+        """``routed`` is each backend's own ``queries_served``: only the
+        planner calls its backends, so that is what it routed there."""
         return {
             **super().stats(),
             "target": self.target.describe(),
-            "routed": dict(self.routed),
+            "routed": {n: p.queries_served for n, p in self.providers.items()},
             "backends": {n: p.stats() for n, p in self.providers.items()},
         }
 

@@ -250,7 +250,8 @@ class QueryServer:
         self._closed = False
         self._t0 = time.perf_counter()
 
-        # SLO accounting (reset_stats() clears these, not the engine's).
+        # SLO accounting.  Counters only grow: diff two stats() snapshots
+        # to measure an interval.
         self.served = 0
         self.rejected = 0
         self.protocol_errors = 0
@@ -311,18 +312,6 @@ class QueryServer:
 
     async def __aexit__(self, *exc) -> None:
         await self.aclose()
-
-    def reset_stats(self) -> None:
-        """Zero the SLO counters (benchmarks call this after warmup)."""
-        self.served = 0
-        self.rejected = 0
-        self.protocol_errors = 0
-        self.solve_errors = 0
-        self.batches_flushed = 0
-        self.latencies_s.clear()
-        self.batch_size_hist = {}
-        self.backend_served = {}
-        self._t0 = time.perf_counter()
 
     def stats(self) -> dict:
         """Server SLO numbers + the engine's accounting (JSON-ready).

@@ -9,11 +9,11 @@ self-contained artifacts, one per key::
     <root>/<key>/manifest.json       # format version, kind, metadata
     <root>/<key>/arrays/<name>.npy   # one raw aligned .npy per array
 
-Arrays are stored as individual *uncompressed* ``.npy`` files (format v2;
-v1 ``arrays.npz`` artifacts are still read), so :meth:`ArtifactStore.load`
-defaults to handing back ``np.memmap`` views — opening an artifact costs
-page-table entries, not a copy, and every process mapping the same
-artifact shares physical pages through the OS page cache.  Pass
+Arrays are stored as individual *uncompressed* ``.npy`` files (format
+v2), so :meth:`ArtifactStore.load` defaults to handing back ``np.memmap``
+views — opening an artifact costs page-table entries, not a copy, and
+every process mapping the same artifact shares physical pages through
+the OS page cache.  Pass
 ``mmap=False`` for the old eager, writable arrays.  Index arrays whose
 values fit are downcast to int32 once, at save time (the serving layers
 preserve the dtype end to end), halving the index footprint for every
@@ -75,15 +75,13 @@ from ..graphs.io import GRAPH_NPZ_VERSION
 
 __all__ = ["ArtifactStore", "ArtifactInfo", "config_key", "STORE_FORMAT_VERSION"]
 
-#: Manifest schema version; bumped on layout changes.
-#: v1: one compressed ``arrays.npz``.  v2: raw per-array ``.npy`` files
-#: under ``arrays/`` (memmap-able) with index arrays downcast to int32
-#: when their values fit.
+#: Manifest schema version; bumped on layout changes, and the only one
+#: this build reads.  v2: raw per-array ``.npy`` files under ``arrays/``
+#: (memmap-able) with index arrays downcast to int32 when their values fit.
 STORE_FORMAT_VERSION = 2
 
 _KINDS = ("oracle", "sketch", "bundle", "graph")
 _MANIFEST = "manifest.json"
-_ARRAYS = "arrays.npz"  # v1 payload, read-compatible
 _ARRAYS_DIR = "arrays"
 
 #: Arrays holding vertex ids / CSR offsets — eligible for the int32
@@ -241,10 +239,10 @@ class ArtifactStore:
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"{manifest_path}: unreadable manifest: {exc}") from exc
         version = manifest.get("format_version")
-        if not isinstance(version, int) or version > STORE_FORMAT_VERSION:
+        if version != STORE_FORMAT_VERSION:
             raise ValueError(
                 f"{manifest_path}: format_version {version!r} unsupported "
-                f"(this build reads <= v{STORE_FORMAT_VERSION})"
+                f"(this build reads v{STORE_FORMAT_VERSION})"
             )
         kind = manifest.get("kind")
         if kind not in _KINDS:
@@ -423,16 +421,11 @@ class ArtifactStore:
     def _read_arrays(self, info: ArtifactInfo, *, mmap: bool) -> dict:
         """The artifact's array payload as a name -> array dict.
 
-        v2 artifacts come back as lazy ``np.memmap`` views when ``mmap``
-        (one physical copy across all loading processes, courtesy of the
-        page cache); v1 ``arrays.npz`` payloads are compressed and load
-        eagerly regardless.
+        Arrays come back as lazy ``np.memmap`` views when ``mmap`` (one
+        physical copy across all loading processes, courtesy of the page
+        cache).
         """
         path = Path(info.path)
-        legacy = path / _ARRAYS
-        if legacy.is_file():
-            with np.load(legacy) as data:
-                return {name: data[name] for name in data.files}
         mode = "r" if mmap else None
         return {
             p.stem: np.load(p, mmap_mode=mode)

@@ -97,11 +97,19 @@ def test_every_kind_serves_its_own_answers(store, pairs, kind, shards):
     assert np.array_equal(single, expected)
 
 
-def _provider_rows(engine: QueryEngine) -> int:
+def _row_providers(engine: QueryEngine) -> list:
     providers = (
         engine.planner.providers.values() if engine.planner else [engine.provider]
     )
-    return sum(p.stats().get("rows_solved", 0) for p in providers)
+    return [p for p in providers if hasattr(p, "rows")]
+
+
+def _provider_rows(engine: QueryEngine) -> int:
+    return sum(p.stats()["rows_solved"] for p in _row_providers(engine))
+
+
+def _provider_solve_s(engine: QueryEngine) -> float:
+    return sum(p.rows.solve_wall_s for p in _row_providers(engine))
 
 
 @pytest.mark.parametrize("kind", KINDS + ["bundle-tiered"])
@@ -115,14 +123,14 @@ def test_rows_solved_is_the_sum_over_row_providers(
     engine.query_many(pairs[:50], **route)
     engine.query_many(pairs[50:], **route)
     stats = engine.stats()
+    assert (stats["queries_served"], stats["batches"]) == (len(pairs), 2)
     rows = stats["rows_solved"]
     assert rows == _provider_rows(engine)
-    assert stats["timing"]["batch_rows_solved"] == rows
-    assert sum(call["rows"] for call in engine.call_log) == rows
+    assert stats["solve_wall_s"] == pytest.approx(_provider_solve_s(engine), abs=1e-6)
     if kind in ("graph", "oracle", "bundle-exact", "bundle-oracle"):
-        assert rows > 0 and stats["timing"]["solve_wall_s"] > 0
+        assert rows > 0 and stats["solve_wall_s"] > 0
     else:
-        assert rows == 0 and stats["timing"]["solve_wall_s"] == 0
+        assert rows == 0 and stats["solve_wall_s"] == 0
     engine.query(1, 2, **route)  # single queries count too
     assert engine.stats()["rows_solved"] == _provider_rows(engine)
     engine.close()
@@ -135,8 +143,7 @@ def test_exact_backend_rows_reach_engine_stats(bundle, pairs):
     exact_rows = stats["planner"]["backends"]["exact"]["rows_solved"]
     assert exact_rows == np.unique(pairs[:50, 0]).size
     assert stats["rows_solved"] == exact_rows
-    assert stats["timing"]["batch_rows_solved"] == exact_rows
-    assert stats["timing"]["solve_wall_s"] > 0
+    assert stats["solve_wall_s"] > 0
     engine.close()
 
 

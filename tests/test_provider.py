@@ -227,14 +227,16 @@ class TestPlannedRouting:
         pairs = np.array([[0, 1], [2, 3]])
         planner.query_many(pairs)
         planner.query(4, 5)
-        assert planner.routed["tiered"] == 3
-        assert sum(planner.routed.values()) == 3
+        routed = planner.stats()["routed"]
+        assert routed["tiered"] == 3
+        assert sum(routed.values()) == 3
 
     def test_explicit_override_beats_the_target(self, providers):
         planner = PlannedProvider(providers, PlanTarget(backend="sketch"))
         planner.query_many(np.array([[0, 1]]), backend="exact")
         planner.query(0, 1, backend="exact")
-        assert planner.routed["exact"] == 2 and planner.routed["sketch"] == 0
+        routed = planner.stats()["routed"]
+        assert routed["exact"] == 2 and routed["sketch"] == 0
         with pytest.raises(ValueError, match="unknown backend"):
             planner.query_many(np.array([[0, 1]]), backend="bogus")
 
@@ -263,7 +265,8 @@ class TestPlannedRouting:
         assert seen == ["sketch"]
         for _ in range(3):  # one probe batch each
             planner.query_many(pairs)
-        assert {n for n, c in planner.routed.items() if c} == set(BACKENDS)
+        routed = planner.stats()["routed"]
+        assert {n for n, c in routed.items() if c} == set(BACKENDS)
         # All sampled: route to the fastest observed EWMA.
         fastest = min(
             (planner.providers[n] for n in BACKENDS), key=lambda p: p.ewma_s

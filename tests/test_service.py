@@ -152,31 +152,19 @@ class TestArtifactStore:
         assert loaded.pivot.dtype == np.int32
         assert loaded.g.edges_u.dtype == np.int32
 
-    def test_v1_npz_artifact_still_loads(self, oracle, pairs, tmp_path):
-        """Artifacts written by the v1 (compressed arrays.npz) layout load
-        transparently and answer bit-identically."""
+    def test_v1_artifact_refused(self, oracle, tmp_path):
+        """A v1 (compressed arrays.npz) manifest is refused like any other
+        version this build does not write."""
         store = ArtifactStore(tmp_path)
         key = store.save_oracle(oracle)
-        # Rewrite the artifact in the legacy layout by hand.
-        adir = tmp_path / key / "arrays"
-        arrays = {p.stem: np.load(p) for p in adir.glob("*.npy")}
-        arrays = {
-            name: a.astype(np.int64) if a.dtype == np.int32 else a
-            for name, a in arrays.items()
-        }
-        import shutil
-
-        shutil.rmtree(adir)
-        with (tmp_path / key / "arrays.npz").open("wb") as fh:
-            np.savez_compressed(fh, **arrays)
         manifest_path = tmp_path / key / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["format_version"] = 1
-        manifest["arrays"] = "arrays.npz"
-        manifest.pop("array_names", None)
         manifest_path.write_text(json.dumps(manifest))
-        loaded = store.load_oracle(key)
-        assert np.array_equal(oracle.query_many(pairs), loaded.query_many(pairs))
+        with pytest.raises(ValueError, match="unsupported"):
+            store.info(key)
+        with pytest.raises(ValueError, match="unsupported"):
+            store.load_oracle(key)
 
     def test_config_key_deterministic(self):
         a = config_key({"algorithm": "general", "k": 4, "graph": "er:64:0.2"})
@@ -205,37 +193,51 @@ class TestQueryEngine:
     def test_batched_planning_populates_cache(self, oracle, pairs):
         engine = QueryEngine(oracle, cache_rows=1024)
         engine.query_many(pairs)
-        rows_after_batch = engine.rows_solved
+        rows_after_batch = engine.stats()["rows_solved"]
         # Every source in the batch is now cached: single queries are hits.
         u, v = map(int, pairs[0])
         engine.query(u, v)
-        assert engine.rows_solved == rows_after_batch
+        assert engine.stats()["rows_solved"] == rows_after_batch
         assert engine.stats()["cache"]["hits"] >= 1
 
     def test_timing_stats_accumulate(self, oracle, pairs):
-        """The cumulative latency/batch accounting behind the server's
-        SLO report: per-call wall time, rows per query_many call, and the
-        batch-size histogram — with every pre-existing key unchanged."""
+        """Queries, batches, wall time and solve time only grow, and every
+        key is present from the start."""
         engine = QueryEngine(oracle, cache_rows=64)
-        base_keys = set(engine.stats())
+        base = engine.stats()
         assert {"backend", "n", "m", "shards", "queries_served", "batches",
-                "rows_solved", "cache"} <= base_keys
+                "wall_s", "rows_solved", "solve_wall_s", "cache"} <= set(base)
+        assert base["queries_served"] == base["batches"] == 0
         engine.query_many(pairs[:100])
         engine.query_many(pairs[100:250])
+        engine.query(1, 2)  # a single query is a batch of one
         stats = engine.stats()
-        assert set(stats) == base_keys  # new keys present from the start
-        timing = stats["timing"]
-        assert timing["query_many_wall_s"] > 0
-        assert 0 < timing["solve_wall_s"] <= timing["query_many_wall_s"]
-        assert timing["batch_rows_solved"] == stats["rows_solved"]
-        assert timing["rows_per_call_mean"] == pytest.approx(
-            stats["rows_solved"] / stats["batches"], abs=1e-3
-        )
-        assert timing["pairs_per_call_mean"] == pytest.approx(250 / 2, abs=1e-3)
-        assert stats["batch_sizes"] == {"100": 1, "150": 1}
-        assert len(engine.call_log) == 2
-        call = engine.call_log[0]
-        assert call["pairs"] == 100 and call["wall_s"] >= call["solve_s"] >= 0
+        assert set(stats) == set(base)
+        assert stats["queries_served"] == 251 and stats["batches"] == 3
+        assert stats["rows_solved"] > 0
+        assert 0 < stats["solve_wall_s"] <= stats["wall_s"]
+
+    def test_failed_solve_counts_nothing(self, oracle, pairs, monkeypatch):
+        """A row solve that raises leaves the served counters where they
+        were, under query_many and under query."""
+        import repro.service.engine as engine_mod
+
+        engine = QueryEngine(oracle, cache_rows=64)
+        engine.query_many(pairs[:10])
+        before = engine.stats()
+
+        def boom(graph, sources):
+            raise RuntimeError("solve failed")
+
+        monkeypatch.setattr(engine_mod, "batched_sssp", boom)
+        cold = int(np.setdiff1d(np.arange(oracle.spanner.n), pairs[:10, 0])[0])
+        with pytest.raises(RuntimeError):
+            engine.query_many([[cold, 1], [cold, 2]])
+        with pytest.raises(RuntimeError):
+            engine.query(cold, 3)
+        after = engine.stats()
+        assert after["queries_served"] == before["queries_served"]
+        assert after["batches"] == before["batches"]
 
     def test_lru_bound_respected(self, oracle, pairs):
         engine = QueryEngine(oracle, cache_rows=4)
@@ -258,7 +260,7 @@ class TestQueryEngine:
         engine = QueryEngine(sketch)
         assert np.array_equal(engine.query_many(pairs), sketch.query_many(pairs))
         assert engine.stats()["backend"] == "sketch"
-        assert engine.rows_solved == 0
+        assert engine.stats()["rows_solved"] == 0
 
     def test_from_store_both_kinds(self, oracle, sketch, pairs, tmp_path):
         store = ArtifactStore(tmp_path)
