@@ -37,6 +37,7 @@ __all__ = ["FROZEN_HASHES", "hash_function", "compute_frozen_hashes", "format_ma
 FROZEN_HASHES: dict[str, str] = {
     "core/unweighted.py::unweighted_spanner_reference": "62608f7f615173a8",
     "distances/sketches.py::build_bunches_reference": "dc47e6b49ed185de",
+    "distances/sketches.py::query_reference": "e57be4320b8db112",
     "graphs/distances.py::sssp_reference": "5c296686cbb98f36",
     "mpc_impl/ball_growing.py::grow_balls_mpc_reference": "013e180a01ae7bb4",
     "streaming/spanner_stream.py::_pass_group_minima_reference": "9d9898602b56b584",

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -67,6 +68,7 @@ __all__ = [
     "sketch_on_spanner",
     "build_bunches_batched",
     "build_bunches_reference",
+    "query_reference",
 ]
 
 # Matches the truncation slack of the original per-center Dijkstra: a vertex
@@ -265,6 +267,29 @@ def build_bunches_reference(
     return bunch
 
 
+def query_reference(sketch: "DistanceSketch", u: int, v: int) -> float:
+    """The pivot walk of one in-range pair: one ``searchsorted`` of
+    the bunch keys per round.  The walk :meth:`DistanceSketch.query` ran
+    before it indexed memoryviews, retained as the frozen reference the
+    property tests compare every walk against."""
+    if u == v:
+        return 0.0
+    keys, n = sketch._bunch_keys, sketch.g.n
+    w, du_w = u, 0.0
+    for i in range(sketch.k):
+        if i:
+            u, v = v, u
+            w = int(sketch.pivot[i, u])
+            du_w = float(sketch.pivot_dist[i, u])
+            if w < 0 or not math.isfinite(du_w):
+                return math.inf
+        key = v * n + w
+        pos = int(keys.searchsorted(key))
+        if pos < keys.size and keys[pos] == key:
+            return du_w + float(sketch.bunch_dists[pos])
+    return math.inf
+
+
 class DistanceSketch:
     """A Thorup–Zwick approximate-distance sketch of stretch ``2k - 1``.
 
@@ -328,14 +353,23 @@ class DistanceSketch:
         self.bunch_indptr, self.bunch_centers, self.bunch_dists = (
             build_bunches_batched(g, levels, self.pivot_dist)
         )
-        # Global membership keys (vertex * n + center, ascending): one
-        # searchsorted answers "is w in B(v)" for any batch of queries.
+        self._init_query_state()
+
+    def _init_query_state(self) -> None:
+        """What the query walks derive from the arrays, shared by both
+        constructors.  The membership keys (vertex * n + center,
+        ascending, always int64: ``v * n + center`` overflows int32 for
+        every ``n >= 2**15.5``) let one ``searchsorted`` answer "is w in
+        B(v)" for any batch of queries; the per-pair walk's memoryviews
+        are built on its first call."""
+        n = self.g.n
         self._bunch_keys = (
-            self.bunch_centers
+            self.bunch_centers.astype(np.int64, copy=False)
             + np.repeat(np.arange(n, dtype=np.int64), np.diff(self.bunch_indptr))
             * np.int64(n)
         )
         self._bunch_dicts: list[dict[int, float]] | None = None
+        self._views: tuple | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -360,9 +394,7 @@ class DistanceSketch:
 
         Index arrays that arrive as int32 (downcast store artifacts) are
         kept int32, and already-correct dtypes are adopted without a copy —
-        memmap-backed artifact views stay memmaps.  The membership keys
-        are always computed in int64: ``v * n + center`` overflows int32
-        for every ``n >= 2**15.5``.
+        memmap-backed artifact views stay memmaps.
         """
         if pivot.shape != (k + 1, g.n) or pivot_dist.shape != (k + 1, g.n):
             raise ValueError("pivot arrays must have shape (k + 1, n)")
@@ -386,13 +418,12 @@ class DistanceSketch:
         self.bunch_indptr = _idx(bunch_indptr)
         self.bunch_centers = _idx(bunch_centers)
         self.bunch_dists = np.asarray(bunch_dists).astype(np.float64, copy=False)
-        self._bunch_keys = (
-            self.bunch_centers.astype(np.int64, copy=False)
-            + np.repeat(np.arange(g.n, dtype=np.int64), np.diff(self.bunch_indptr))
-            * np.int64(g.n)
-        )
-        self._bunch_dicts = None
+        self._init_query_state()
         return self
+
+    def __getstate__(self) -> dict:
+        # Memoryviews do not pickle; the walk rebuilds them when needed.
+        return {**self.__dict__, "_views": None}
 
     @property
     def bunch(self) -> list[dict[int, float]]:
@@ -432,23 +463,36 @@ class DistanceSketch:
         return self._walk(int(u), int(v))
 
     def _walk(self, u: int, v: int) -> float:
-        """The pivot walk of one in-range pair: one ``searchsorted`` of
-        the bunch keys per round."""
+        """The pivot walk of one in-range pair, on Python scalars: per
+        round, one ``bisect`` of ``w`` in ``v``'s bunch centers (sorted
+        per vertex).  Memoryview items are Python ints and floats, so no
+        numpy scalar is made; gives the floats of
+        :func:`query_reference`."""
         if u == v:
             return 0.0
-        keys, n = self._bunch_keys, self.g.n
+        if self._views is None:
+            # Views of the arrays as they are (int32 stays int32, a
+            # memmap stays a memmap): nothing is copied.
+            self._views = (
+                [memoryview(row) for row in self.pivot],
+                [memoryview(row) for row in self.pivot_dist],
+                memoryview(self.bunch_indptr),
+                memoryview(self.bunch_centers),
+                memoryview(self.bunch_dists),
+            )
+        pivot, pivot_dist, indptr, centers, dists = self._views
         w, du_w = u, 0.0
         for i in range(self.k):
             if i:
                 u, v = v, u
-                w = int(self.pivot[i, u])
-                du_w = float(self.pivot_dist[i, u])
+                w = pivot[i][u]
+                du_w = pivot_dist[i][u]
                 if w < 0 or not math.isfinite(du_w):
                     return math.inf
-            key = v * n + w
-            pos = int(keys.searchsorted(key))
-            if pos < keys.size and keys[pos] == key:
-                return du_w + float(self.bunch_dists[pos])
+            hi = indptr[v + 1]
+            pos = bisect_left(centers, w, indptr[v], hi)
+            if pos < hi and centers[pos] == w:
+                return du_w + dists[pos]
         return math.inf
 
     def query_many(self, pairs) -> np.ndarray:
@@ -465,14 +509,12 @@ class DistanceSketch:
         if pairs.size == 0:
             return np.zeros(0)
         n = self.g.n
+        if pairs.min() < 0 or pairs.max() >= n:
+            raise ValueError("vertex out of range")
+        if pairs.shape[0] <= _SCALAR_WALK_MAX:
+            return np.array([self._walk(a, b) for a, b in pairs.tolist()])
         u = pairs[:, 0].copy()
         v = pairs[:, 1].copy()
-        if u.size and (
-            min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n
-        ):
-            raise ValueError("vertex out of range")
-        if u.size <= _SCALAR_WALK_MAX:
-            return np.array([self._walk(a, b) for a, b in zip(u.tolist(), v.tolist())])
         out = np.full(u.shape, np.inf)
         active = u != v
         out[~active] = 0.0

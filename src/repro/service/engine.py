@@ -253,6 +253,22 @@ class QueryEngine:
             raise ValueError("vertex out of range")
         return self.provider.query_many(pairs, **route)
 
+    def needs_solve(self, sources, *, backend: str | None = None) -> bool:
+        """Whether :meth:`query_many` over pairs from these ``sources``
+        (their first column) may solve a Dijkstra row.
+
+        The provider is resolved as :meth:`query_many` resolves it (the
+        planner's routing when ``backend`` is ``None``).  A provider
+        without rows (``sketch``, ``tiered``) never solves; a row provider
+        solves unless every source's row is cached.  Touches neither the
+        cache's recency nor any counter, so a server can ask before it
+        decides where the batch runs.
+        """
+        route = self._route(backend)
+        provider = self.provider if self.planner is None else self.planner.route(**route)
+        rows = getattr(provider, "rows", None)
+        return rows is not None and any(s not in rows.cache for s in sources)
+
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------

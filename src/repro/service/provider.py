@@ -450,21 +450,23 @@ class PlannedProvider(_TimedProvider):
             # SLO unreachable: degrade to the fastest answer we can give.
         return min(candidates, key=lambda p: p.ewma_s).name
 
-    def _pick(self, backend: str | None) -> str:
+    def route(self, backend: str | None = None):
+        """The provider a call goes to: ``backend`` when pinned, else the
+        target's pick (:meth:`choose`).  Reads routing state only."""
         name = backend or self.choose()
         if name not in self.providers:
             raise ValueError(
                 f"unknown backend {name!r} (have: {', '.join(sorted(self.providers))})"
             )
-        return name
+        return self.providers[name]
 
     def _query(self, u: int, v: int, *, backend: str | None = None) -> float:
-        return self.providers[self._pick(backend)].query(u, v)
+        return self.route(backend).query(u, v)
 
     def _query_many(
         self, pairs: np.ndarray, *, backend: str | None = None
     ) -> np.ndarray:
-        return self.providers[self._pick(backend)].query_many(pairs)
+        return self.route(backend).query_many(pairs)
 
     def stats(self) -> dict:
         """``routed`` is each backend's own ``queries_served``: only the

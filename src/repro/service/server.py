@@ -4,14 +4,24 @@
 socket server speaking a newline-delimited JSON protocol.  The perf
 mechanism is **flush-on-idle micro-batching**: a ``query`` that reaches
 an idle solver is solved at once, and requests that arrive while a solve
-is running (in a dedicated solver thread, so the event loop keeps
-accepting) queue up and share the next batch, capped at ``max_batch``.
-Each batch is a *single* :meth:`QueryEngine.query_many` call, so the
-batched ``batched_sssp`` planning, per-source dedup, and row caching
-amortize across clients instead of degrading to one Dijkstra per
+is running queue up and share the next batch, capped at ``max_batch``.
+Each batch is one :meth:`QueryEngine.query_many` call per backend group,
+so the batched ``batched_sssp`` planning, per-source dedup, and row
+caching amortize across clients instead of degrading to one Dijkstra per
 request.  Batch size follows the solver's busy time, not a timer: an
 idle server adds no wait, and a loaded one coalesces whatever queued
 during the previous solve (the adaptive batching discipline).
+
+Where a batch runs: only a batch that may solve a Dijkstra row goes to
+the dedicated solver thread, so the event loop keeps admitting,
+rejecting and answering ``stats`` while the row solve (sharded or not)
+runs.  A batch that cannot block — every oracle/exact source already
+cached, or only sketch and tiered walks — is answered on the event loop
+itself, which saves the loop -> thread -> loop round trip.  The engine
+says which is which through ``needs_solve(sources, backend=...)``; an
+engine whose class does not define it (a delegating wrapper, say), or
+whose predicate raises, always hands off.  ``solver_handoffs`` counts
+the batches sent to the thread.
 
 Around the batcher:
 
@@ -43,7 +53,7 @@ Protocol (one JSON object per line, ``id`` echoed back verbatim):
     -> {"op": "query", "u": 3, "v": 9, "backend": "sketch", "id": 2}
     <- {"id": 2, "d": 3.5}
     -> {"op": "stats", "id": 3}
-    <- {"id": 3, "stats": {...latency_ms, qps, backend_served, engine...}}
+    <- {"id": 3, "stats": {...latency_ms, qps, solver_handoffs, engine...}}
     -> {"op": "ping", "id": 4}
     <- {"id": 4, "pong": true}
 
@@ -52,10 +62,10 @@ The optional ``"backend"`` field pins one query to a fixed answer path
 bundle artifact; omitting it leaves routing to the engine's planner.
 Requests naming a backend the engine does not serve are rejected with an
 error reply.  The micro-batcher groups each flushed batch by backend —
-one ``query_many`` per group, all of a batch's groups in one hand-off to
-the solver thread — and the ``stats`` verb reports
-per-backend served counters (``backend_served``) next to the engine's
-planner routing stats.
+one ``query_many`` per group, all of a batch's groups in one place (one
+hand-off to the solver thread, or all on the event loop) — and the
+``stats`` verb reports where the planner sent each query under
+``engine.planner.routed``.
 
 Disconnected pairs answer ``{"d": null}`` (JSON has no ``Infinity``).
 Malformed lines never kill the connection: they get
@@ -224,13 +234,21 @@ class QueryServer:
         # What admission checks every query against, read once.
         self._n = engine.n
         self._backends = frozenset(engine.backends() if hasattr(engine, "backends") else ())
+        # Looked up on the class, not the instance: a wrapper that
+        # forwards attribute access would forward its inner engine's
+        # answer, while its own ``query_many`` may block or fail.
+        self._needs_solve = (
+            engine.needs_solve if hasattr(type(engine), "needs_solve") else None
+        )
 
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        # One solver thread: the engine is touched by exactly one thread,
-        # and the event loop stays free to admit + coalesce the next
-        # batch while the current one solves.  A plain queue, not an
-        # executor: its futures and locks doubled the cost per batch.
+        # One solver thread for batches that may solve a row: the event
+        # loop stays free to admit + coalesce the next batch while the
+        # current one solves.  Batches still solve one at a time: the
+        # flush loop awaits each hand-off before it looks at the next
+        # batch.  A plain queue, not an executor: its futures and locks
+        # doubled the cost per batch.
         self._jobs: queue.SimpleQueue = queue.SimpleQueue()
         self._solver: threading.Thread | None = None
         self._pending: deque[_Request] = deque()
@@ -257,9 +275,9 @@ class QueryServer:
         self.protocol_errors = 0
         self.solve_errors = 0
         self.batches_flushed = 0
+        self.solver_handoffs = 0
         self.latencies_s: deque[float] = deque(maxlen=LATENCY_SAMPLES)
         self.batch_size_hist: dict[int, int] = {}
-        self.backend_served: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -328,14 +346,12 @@ class QueryServer:
             "protocol_errors": self.protocol_errors,
             "solve_errors": self.solve_errors,
             "batches_flushed": self.batches_flushed,
+            "solver_handoffs": self.solver_handoffs,
             "pending": len(self._pending),
             "uptime_s": round(uptime, 3),
             "qps": round(self.served / uptime, 1) if uptime > 0 else 0.0,
             "latency_ms": latency_summary(self.latencies_s),
             "batch_size_hist": [[k, v] for k, v in sorted(self.batch_size_hist.items())],
-            "backend_served": {
-                k: self.backend_served[k] for k in sorted(self.backend_served)
-            },
             "draining": self._draining,
             "engine": self.engine.stats(),
         }
@@ -483,8 +499,9 @@ class QueryServer:
         by the next loop iteration, so batches track the backlog.  Batches
         mixing pinned backends split into one ``query_many`` per backend
         (planner-routed requests form their own group), so a pin never
-        changes another client's answer path; the groups of one batch go
-        to the solver thread together.
+        changes another client's answer path.  The groups of one batch are
+        solved together: on the solver thread if any of them may solve a
+        row, else right here on the event loop.
         """
         while self._pending:
             take = min(self.max_batch, len(self._pending))
@@ -492,38 +509,59 @@ class QueryServer:
             groups: dict[str | None, list[_Request]] = {}
             for req in batch:
                 groups.setdefault(req.backend, []).append(req)
-            done = self._loop.create_future()
-            self._jobs.put((groups, done))
-            results = await done
-            for (backend, group), answers in zip(groups.items(), results):
-                if isinstance(answers, BaseException):
+            if self._may_solve(groups):
+                self.solver_handoffs += 1
+                done = self._loop.create_future()
+                self._jobs.put((groups, done))
+                results = await done
+            else:
+                results = self._solve_groups(groups)
+            for group, answers in zip(groups.values(), results):
+                if isinstance(answers, Exception):
                     self._fail(group, answers)
                 else:
-                    self._deliver(group, answers, backend=backend)
+                    self._deliver(group, answers)
             self._settled += take
             while self._eof_waits and self._eof_waits[0][0] <= self._settled:
                 _settle(self._eof_waits.popleft()[1], None)
         self._flush_task = None
 
+    def _may_solve(self, groups: dict) -> bool:
+        """Whether a batch goes to the solver thread: unless the engine
+        vouches that no group solves a row, it does."""
+        if self._needs_solve is None:
+            return True
+        try:
+            return any(
+                self._needs_solve([r.u for r in group], backend=backend)
+                for backend, group in groups.items()
+            )
+        except Exception:
+            return True
+
+    def _solve_groups(self, groups: dict) -> list:
+        """One ``query_many`` per backend group, in order.  A group whose
+        solve raises gets the exception in place of its answers (not an
+        interrupt or a cancellation: this also runs on the event loop)."""
+        results = []
+        for backend, group in groups.items():
+            pairs = np.array([(r.u, r.v) for r in group], dtype=np.int64)
+            # Pass the backend kwarg only when pinned, so engine
+            # wrappers unaware of multi-backend routing keep working.
+            route = {} if backend is None else {"backend": backend}
+            try:
+                results.append(self.engine.query_many(pairs, **route))
+            except Exception as exc:
+                results.append(exc)
+        return results
+
     def _solver_main(self) -> None:
-        """The solver thread: for each queued batch, one ``query_many`` per
-        backend group.  A group whose solve raises gets the exception in
-        place of its answers, and every batch is settled."""
+        """The solver thread: solves each handed-off batch and settles it."""
         while (job := self._jobs.get()) is not None:
             groups, done = job
-            results = []
-            for backend, group in groups.items():
-                pairs = np.array([(r.u, r.v) for r in group], dtype=np.int64)
-                # Pass the backend kwarg only when pinned, so engine
-                # wrappers unaware of multi-backend routing keep working.
-                route = {} if backend is None else {"backend": backend}
-                try:
-                    results.append(self.engine.query_many(pairs, **route))
-                except BaseException as exc:
-                    results.append(exc)
-            self._loop.call_soon_threadsafe(_settle, done, results)
+            self._loop.call_soon_threadsafe(_settle, done, self._solve_groups(groups))
 
-    def _fail(self, group: list[_Request], exc: BaseException) -> None:
+    def _fail(self, group: list[_Request], exc: Exception) -> None:
         """A group's solve raised: every request in it gets an error reply,
         and the flush loop carries on with the remaining groups."""
         self.solve_errors += 1
@@ -532,14 +570,10 @@ class QueryServer:
             (req.writer, _encode({"id": req.rid, "error": error})) for req in group
         )
 
-    def _deliver(
-        self, batch: list[_Request], answers, *, backend: str | None = None
-    ) -> None:
+    def _deliver(self, batch: list[_Request], answers) -> None:
         now = time.perf_counter()
         self.batches_flushed += 1
         self.batch_size_hist[len(batch)] = self.batch_size_hist.get(len(batch), 0) + 1
-        label = backend or "auto"
-        self.backend_served[label] = self.backend_served.get(label, 0) + len(batch)
         replies = []
         for req, d in zip(batch, np.asarray(answers, dtype=np.float64).tolist()):
             replies.append((req.writer, _encode_answer(req.rid, d)))

@@ -7,7 +7,8 @@ cross-checked here against an independently-written pure-Python reference:
   ``build_bunches_reference`` (per-center dict/heapq truncated Dijkstra) —
   bit-identical bunch sets *and* distances;
 * batched ``pairwise_distances`` / ``batched_sssp`` vs ``sssp_reference``;
-* the vectorized ``query_many`` vs scalar ``query``;
+* the vectorized ``query_many`` vs scalar ``query``, and both (on
+  fresh and int32-loaded sketches) vs the frozen ``query_reference`` walk;
 * the cached scipy CSR and vectorized edge-lookup helpers on
   ``WeightedGraph``.
 
@@ -17,13 +18,18 @@ the k=1 edge case (full APSP bunches).
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distances import DistanceSketch
 from repro.distances.sketches import (
     build_bunches_batched,
     build_bunches_reference,
+    query_reference,
 )
 from repro.graphs import (
     WeightedGraph,
@@ -35,6 +41,7 @@ from repro.graphs import (
     sssp,
     sssp_reference,
 )
+from tests.strategies import mixed_weight_graph, seeds
 
 
 def _random_graph(seed: int, weights: str = "uniform") -> WeightedGraph:
@@ -122,6 +129,48 @@ class TestBunchBuilders:
             for size in (1, 2, sketches._SCALAR_WALK_MAX, sketches._SCALAR_WALK_MAX + 1):
                 parts = [sk.query_many(pairs[lo : lo + size]) for lo in range(0, len(pairs), size)]
                 assert np.array_equal(np.concatenate(parts), whole), size
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        g=mixed_weight_graph(),
+        k=st.integers(1, 4),
+        seed=seeds,
+        int32=st.booleans(),
+        size=st.sampled_from([1, 2, 16, 17]),
+        self_pair=st.booleans(),
+        data=st.data(),
+    )
+    def test_walks_match_the_frozen_reference(
+        self, g, k, seed, int32, size, self_pair, data
+    ):
+        """``query`` and ``query_many`` (both walks: 16 pairs is the
+        per-pair walk's cut-off) give the floats of ``query_reference``,
+        on fresh sketches and on int32 index arrays as the store loads
+        them; the graphs include disconnected ones, and k=1."""
+        sk = DistanceSketch(g, k, rng=seed)
+        if int32:
+            i32 = lambda a: a.astype(np.int32)  # noqa: E731
+            sk = DistanceSketch.from_arrays(
+                g, k, [i32(lv) for lv in sk.levels], i32(sk.pivot), sk.pivot_dist,
+                i32(sk.bunch_indptr), i32(sk.bunch_centers), sk.bunch_dists,
+            )
+        vertex = st.integers(0, g.n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=size, max_size=size))
+        if self_pair:
+            pairs[-1] = (pairs[-1][0], pairs[-1][0])
+        want = [query_reference(sk, u, v) for u, v in pairs]
+        assert sk.query_many(np.array(pairs)).tolist() == want
+        assert [sk.query(u, v) for u, v in pairs] == want
+
+    def test_pickled_sketch_answers_alike(self):
+        """The walk's lazily built memoryviews do not stop a sketch that
+        has answered queries from pickling."""
+        g = _random_graph(3)
+        sk = DistanceSketch(g, 3, rng=3)
+        pairs = np.random.default_rng(3).integers(0, g.n, size=(10, 2))
+        before = sk.query_many(pairs)
+        again = pickle.loads(pickle.dumps(sk))
+        assert np.array_equal(again.query_many(pairs), before)
 
     def test_disconnected_bunches_stay_local(self):
         g = _random_graph(3)  # seed % 3 == 0: disconnected by construction

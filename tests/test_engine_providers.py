@@ -167,3 +167,38 @@ def test_cache_is_the_aggregate_over_row_providers(g, bundle, pairs):
     for key in ("entries", "hits", "misses", "evictions"):
         per_backend = [backends[name]["cache"][key] for name in ("exact", "oracle")]
         assert cache[key] == sum(per_backend)
+
+
+@pytest.mark.parametrize("kind", KINDS + ["bundle-tiered", "bundle-auto"])
+def test_needs_solve_is_whether_query_many_solves(
+    g, oracle, sketch, bundle, pairs, kind
+):
+    """``needs_solve`` predicts whether ``query_many`` solves a row, for
+    every provider it may resolve to, and asking changes nothing: the
+    engine's stats and the cache's recency order stay as they were."""
+    artifact, _, backend = kind.partition("-")
+    backend_obj = {"graph": g, "oracle": oracle, "sketch": sketch, "bundle": bundle}
+    engine = QueryEngine(backend_obj[artifact], cache_rows=16)
+    route = {"backend": backend} if backend not in ("", "auto") else {}
+    for lo in range(0, len(pairs), 10):
+        chunk = pairs[lo : lo + 10]
+        before = engine.stats()
+        orders = [p.rows.cache.keys() for p in _row_providers(engine)]
+        predicted = engine.needs_solve(chunk[:, 0].tolist(), **route)
+        assert engine.stats() == before
+        assert [p.rows.cache.keys() for p in _row_providers(engine)] == orders
+        rows = before["rows_solved"]
+        engine.query_many(chunk, **route)
+        assert predicted == (engine.stats()["rows_solved"] > rows), lo
+        if backend != "auto":  # auto may route the next call elsewhere
+            # The batch's rows are cached now (16 fit): asking again says no.
+            assert not engine.needs_solve(chunk[:, 0].tolist(), **route)
+    assert engine.needs_solve([], **route) is False
+    engine.close()
+
+
+def test_needs_solve_validates_the_backend(oracle, bundle):
+    with pytest.raises(ValueError, match="single fixed backend"):
+        QueryEngine(oracle).needs_solve([0], backend="sketch")
+    with pytest.raises(ValueError, match="unknown backend"):
+        QueryEngine(bundle).needs_solve([0], backend="bogus")

@@ -5,7 +5,8 @@ server is solved at once with no timer armed, arrivals during a solve
 share the next batch, max-batch overflow splitting), bounded admission
 control with explicit
 overload rejections, graceful drain leaving /dev/shm clean, bit-identity
-of served answers vs offline ``query_many``, the ``stats`` protocol verb,
+of served answers vs offline ``query_many``, where a batch runs (on the
+event loop unless it may solve a row), the ``stats`` protocol verb,
 line framing (requests cut at any byte, CRLF, blank lines, an
 unterminated last line, over-long lines), byte parity of the direct
 answer encoder with ``json.dumps``, malformed-line hardening on both the
@@ -772,8 +773,9 @@ class TestSocketCLI:
 class TestBackendRouting:
     """The ``"backend"`` request field on a bundle-backed server: pinned
     queries split into per-backend micro-batches, answers stay
-    bit-identical to the offline providers, and the ``stats`` verb reports
-    per-backend served counters."""
+    bit-identical to the offline providers, the ``stats`` verb reports
+    where the planner routed each query, and only a batch that may solve
+    a row is handed to the solver thread."""
 
     @pytest.fixture()
     def bundle(self, g):
@@ -813,10 +815,11 @@ class TestBackendRouting:
         replies, stats = asyncio.run(run())
         engine.close()
         assert all("d" in r for r in replies)
-        # Per-backend counters: 6 pinned each + 6 planner-routed.
-        served = stats["backend_served"]
-        assert served["exact"] == served["oracle"] == served["sketch"] == 6
-        assert served["auto"] == 6
+        # Where the planner sent them: 6 pinned each, plus the 6
+        # unpinned ones wherever it routed them.
+        routed = stats["engine"]["planner"]["routed"]
+        assert sum(routed.values()) == stats["served"] == 24
+        assert min(routed["exact"], routed["oracle"], routed["sketch"]) >= 6
         # Served answers bit-identical to the offline providers.
         offline = build_providers(bundle)
         for backend in ("exact", "oracle", "sketch"):
@@ -860,8 +863,112 @@ class TestBackendRouting:
         stats = asyncio.run(run())
         assert solves == [("sketch", 4, 0), ("exact", 4, 0)]
         assert stats["batch_size_hist"] == [[4, 2]]
-        assert stats["backend_served"] == {"sketch": 4, "exact": 4}
+        assert stats["engine"]["planner"]["routed"] == {
+            "exact": 4, "oracle": 0, "sketch": 4, "tiered": 0
+        }
         assert sorted(json.loads(line)["id"] for line in writer.lines) == list(range(8))
+
+    HOT = (3, 17, 42)  # sources whose oracle rows are cached up front
+
+    def _hot_engine(self, bundle, cls=QueryEngine):
+        engine = cls(bundle)
+        engine.query_many(np.array([(s, 0) for s in self.HOT]), backend="oracle")
+        return engine
+
+    @staticmethod
+    def _flush_one_batch(engine, requests):
+        """Admit ``(u, v, backend)`` requests as one batch and flush it;
+        returns the replies in admission order and the server's stats."""
+        writer = _Writer()
+
+        async def run():
+            async with QueryServer(engine) as server:
+                for i, (u, v, backend) in enumerate(requests):
+                    msg = {"u": u, "v": v, "backend": backend}
+                    assert server._admit(msg, i, writer) is None
+                await server._flush_task
+                return server.stats()
+
+        stats = asyncio.run(run())
+        replies = sorted((json.loads(line) for line in writer.lines), key=lambda r: r["id"])
+        return replies, stats
+
+    @staticmethod
+    def _assert_offline_answers(bundle, requests, replies, backends):
+        from repro.service import build_providers
+
+        offline = build_providers(bundle)
+        for name in backends:
+            mine = [i for i, (_, _, b) in enumerate(requests) if b == name]
+            want = offline[name].query_many(np.array([requests[i][:2] for i in mine]))
+            got = [np.inf if replies[i]["d"] is None else replies[i]["d"] for i in mine]
+            assert np.array_equal(got, want), name
+
+    def test_cached_rows_and_walks_are_answered_on_the_event_loop(self, g, bundle):
+        """Oracle requests whose rows are all cached, sketch walks, and
+        tiered walks on sources with no cached row (so they equal the
+        offline walk) make one batch that never reaches the solver thread,
+        and its answers are bit-identical to the offline providers'."""
+        engine = self._hot_engine(bundle)
+        requests = [(self.HOT[i % 3], (i * 11) % g.n, "oracle") for i in range(9)]
+        requests += [((i * 7) % g.n, (i * 5) % g.n, "sketch") for i in range(9)]
+        requests += [(100 + i, (i * 3) % g.n, "tiered") for i in range(4)]
+        replies, stats = self._flush_one_batch(engine, requests)
+        assert stats["solver_handoffs"] == 0
+        assert stats["batch_size_hist"] == [[4, 1], [9, 2]]
+        assert stats["engine"]["rows_solved"] == len(self.HOT)
+        self._assert_offline_answers(bundle, requests, replies, ("oracle", "sketch", "tiered"))
+
+    def test_one_uncached_source_makes_one_handoff(self, g, bundle):
+        """One oracle source without a cached row sends the whole batch,
+        its other groups included, to the solver thread exactly once."""
+        engine = self._hot_engine(bundle)
+        requests = [(self.HOT[i % 3], (i * 11) % g.n, "oracle") for i in range(8)]
+        requests += [(99, 5, "oracle")]
+        requests += [((i * 7) % g.n, (i * 5) % g.n, "sketch") for i in range(6)]
+        replies, stats = self._flush_one_batch(engine, requests)
+        assert stats["solver_handoffs"] == 1
+        assert stats["batches_flushed"] == 2
+        assert stats["engine"]["rows_solved"] == len(self.HOT) + 1
+        self._assert_offline_answers(bundle, requests, replies, ("oracle", "sketch"))
+
+    @pytest.mark.parametrize("kind", ["delegating", "raising"])
+    def test_engine_that_cannot_vouch_hands_off(self, g, bundle, kind):
+        """A wrapper whose class does not define ``needs_solve`` (it could
+        block in its own ``query_many``), or a predicate that raises,
+        sends even a sketch-only batch to the solver thread."""
+
+        class Raising(QueryEngine):
+            def needs_solve(self, sources, *, backend=None):
+                raise RuntimeError("cannot tell")
+
+        if kind == "raising":
+            engine = Raising(bundle)
+        else:
+            engine = FailingEngine(QueryEngine(bundle), fail=0)
+        requests = [((i * 7) % g.n, (i * 5) % g.n, "sketch") for i in range(5)]
+        replies, stats = self._flush_one_batch(engine, requests)
+        assert stats["solver_handoffs"] == 1
+        self._assert_offline_answers(bundle, requests, replies, ("sketch",))
+
+    def test_failed_group_on_the_event_loop_is_contained(self, g, bundle):
+        """A group that raises on the event loop fails only its own
+        requests, as it would on the solver thread."""
+
+        class BrokenSketch(QueryEngine):
+            def query_many(self, pairs, **route):
+                if route.get("backend") == "sketch":
+                    raise MemoryError("solve failed")
+                return super().query_many(pairs, **route)
+
+        engine = self._hot_engine(bundle, BrokenSketch)
+        requests = [(self.HOT[i % 3], (i * 11) % g.n, "oracle") for i in range(4)]
+        requests += [((i * 7) % g.n, (i * 5) % g.n, "sketch") for i in range(4)]
+        replies, stats = self._flush_one_batch(engine, requests)
+        assert stats["solver_handoffs"] == 0
+        assert stats["solve_errors"] == 1 and stats["served"] == 4
+        assert [r.get("error") for r in replies[4:]] == ["internal: MemoryError"] * 4
+        self._assert_offline_answers(bundle, requests[:4], replies[:4], ("oracle",))
 
     def test_unknown_backend_is_rejected(self, bundle):
         engine = QueryEngine(bundle)
@@ -951,4 +1058,6 @@ class TestSolveFailure:
             else:
                 assert reply["d"] == exact.query(u, v)
         assert stats["solve_errors"] == 1
-        assert stats["backend_served"] == {"exact": 4}
+        assert stats["engine"]["planner"]["routed"] == {
+            "exact": 4, "oracle": 0, "sketch": 0, "tiered": 0
+        }
