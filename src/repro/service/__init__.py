@@ -11,8 +11,10 @@ front ends.
 :mod:`~repro.service.provider` unifies the three answer paths (exact
 rows, oracle rows, sketch walks) behind the :class:`DistanceProvider`
 protocol; ``bundle`` artifacts persist all three side by side and
-:class:`PlannedProvider` routes each batch from a declarative
-:class:`PlanTarget` (fixed backend, stretch cap, or latency SLO).
+:class:`PlannedProvider` picks the provider that answers each batch from
+a declarative :class:`PlanTarget` (fixed backend, stretch cap, or
+latency SLO).  The planner answers nothing itself, so each call is
+checked and counted once, by the provider that answers it.
 """
 
 from .engine import QueryEngine

@@ -1,11 +1,12 @@
-"""The serving-side query engine: one provider, sharded row solves.
+"""The serving-side query engine: one provider per call, sharded row solves.
 
 :class:`QueryEngine` serves whatever :func:`~repro.service.provider.build_providers`
 makes of a loaded artifact — a bare graph or an oracle (``rows``), a
-sketch (``sketch``), or a bundle (a :class:`PlannedProvider` over
-``exact``/``oracle``/``sketch``/``tiered``).  Row caching and batched
-planning live in the providers' :class:`~repro.core.cache.CachedRows`; the
-engine adds only what a serving replica needs on top:
+sketch (``sketch``), or a bundle (``exact``/``oracle``/``sketch``/
+``tiered``, one of which a :class:`PlannedProvider` picks for each call).
+Row caching and batched planning live in the providers'
+:class:`~repro.core.cache.CachedRows`; the engine adds only what a serving
+replica needs on top:
 
 * **Sharding** — the served spanner's rows are solved by
   :meth:`QueryEngine._solve_rows`.  With ``shards >= 2``, the distinct
@@ -19,10 +20,11 @@ engine adds only what a serving replica needs on top:
   sharded and serial engines answer bit-identically — Dijkstra runs are
   independent per source.  :meth:`close` (or interpreter exit, via an
   atexit hook) unlinks the segment.
-* **Accounting** — the engine keeps no counters of its own.
-  :meth:`stats` reads queries, batches and wall time from the provider
-  it calls (which records a call only once it succeeds), and sums rows
-  solved, solve time and cache counters over its row providers.
+* **Accounting** — the engine keeps no counters of its own.  Each call
+  reaches exactly one provider, which checks its pairs and records the
+  call only once it succeeds; :meth:`stats` sums queries, batches and
+  wall time over the providers, and rows solved, solve time and cache
+  counters over its row providers.
 """
 
 from __future__ import annotations
@@ -109,24 +111,22 @@ class QueryEngine:
         self._pool: ProcessPoolExecutor | None = None
         self._shared: SharedGraphBuffers | None = None
         self.graph: WeightedGraph | None = None  # set by _row_solver
-        providers = build_providers(
+        self.providers = build_providers(
             backend, cache_rows=cache_rows, row_solver=self._row_solver
         )
-        if len(providers) > 1:
-            self.planner: PlannedProvider | None = PlannedProvider(providers, target)
-            self.provider = self.planner
+        self.planner: PlannedProvider | None = None
+        if len(self.providers) > 1:
+            self.planner = PlannedProvider(self.providers, target)
         elif target is not None:
             raise ValueError(
                 "a plan target needs a ProviderBundle backend (persist the "
                 "artifact with kind='bundle' to serve all backends)"
             )
-        else:
-            self.planner = None
-            (self.provider,) = providers.values()
+        first = next(iter(self.providers.values()))
         if self.graph is None:  # a sketch solves no rows
-            self.graph = self.provider.graph
-        self._rows = [p.rows for p in providers.values() if hasattr(p, "rows")]
-        self.n = self.provider.n
+            self.graph = first.graph
+        self._rows = [p.rows for p in self.providers.values() if hasattr(p, "rows")]
+        self.n = first.n
 
     # ------------------------------------------------------------------
     # Construction from persisted artifacts
@@ -204,24 +204,20 @@ class QueryEngine:
     def backends(self) -> tuple[str, ...]:
         """Names a per-query ``backend`` override may use (empty for
         single-backend engines)."""
-        if self.planner is None:
-            return ()
-        return tuple(sorted(self.planner.providers))
+        return tuple(sorted(self.providers)) if self.planner is not None else ()
 
-    def _route(self, backend: str | None) -> dict:
-        """Keyword arguments pinning a (validated) ``backend`` override."""
-        if backend is None:
-            return {}
-        if self.planner is None:
+    def _provider(self, backend: str | None):
+        """The provider a call goes to: the planner's pick (``backend``
+        pins it), or the engine's only provider."""
+        if self.planner is not None:
+            return self.planner.route(backend)
+        if backend is not None:
             raise ValueError(
                 "this engine serves a single fixed backend; load a 'bundle' "
                 "artifact to route per-query backends"
             )
-        if backend not in self.planner.providers:
-            raise ValueError(
-                f"unknown backend {backend!r} (have: {', '.join(self.backends())})"
-            )
-        return {"backend": backend}
+        (provider,) = self.providers.values()
+        return provider
 
     def query(self, u: int, v: int, *, backend: str | None = None) -> float:
         """Approximate distance between ``u`` and ``v``.
@@ -229,10 +225,7 @@ class QueryEngine:
         ``backend`` overrides the planner's routing for this query
         (bundle-backed engines only).
         """
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError("vertex out of range")
-        route = self._route(backend)
-        return self.provider.query(u, v, **route)
+        return self._provider(backend).query(u, v)
 
     def query_many(self, pairs, *, backend: str | None = None) -> np.ndarray:
         """Batched :meth:`query` over an ``(r, 2)`` pair array.
@@ -244,14 +237,7 @@ class QueryEngine:
         Bundle-backed engines route the whole batch through the planner;
         ``backend`` pins it to one fixed backend.
         """
-        pairs = np.asarray(pairs, dtype=np.int64)
-        route = self._route(backend)
-        if pairs.size == 0:
-            return np.zeros(0)
-        pairs = pairs.reshape(-1, 2)
-        if pairs.min() < 0 or pairs.max() >= self.n:
-            raise ValueError("vertex out of range")
-        return self.provider.query_many(pairs, **route)
+        return self._provider(backend).query_many(pairs)
 
     def needs_solve(self, sources, *, backend: str | None = None) -> bool:
         """Whether :meth:`query_many` over pairs from these ``sources``
@@ -264,9 +250,7 @@ class QueryEngine:
         cache's recency nor any counter, so a server can ask before it
         decides where the batch runs.
         """
-        route = self._route(backend)
-        provider = self.provider if self.planner is None else self.planner.route(**route)
-        rows = getattr(provider, "rows", None)
+        rows = getattr(self._provider(backend), "rows", None)
         return rows is not None and any(s not in rows.cache for s in sources)
 
     # ------------------------------------------------------------------
@@ -276,14 +260,17 @@ class QueryEngine:
         """Serving counters plus row-cache effectiveness (JSON-ready).
 
         ``queries_served``, ``batches`` (a single :meth:`query` is a batch
-        of one) and ``wall_s`` are the counters of the provider the engine
-        calls, so a solve that raises counts nothing.  ``rows_solved``,
-        ``solve_wall_s`` and ``cache`` are summed over the engine's row
-        providers (a sketch engine has none, so its cache reports capacity
-        0).  Bundle-backed engines report ``backend="planned"`` plus a
-        ``planner`` key with per-backend counters.  Counters only grow:
-        diff two snapshots to measure an interval.
+        of one) and ``wall_s`` are summed over the engine's providers,
+        each of which counts only the calls it answered, so a solve that
+        raises counts nothing.  ``rows_solved``, ``solve_wall_s`` and
+        ``cache`` are summed over the engine's row providers (a sketch
+        engine has none, so its cache reports capacity 0).  Bundle-backed
+        engines report ``backend="planned"`` plus a ``planner`` key with
+        its ``target``, where it ``routed`` each query, and per-backend
+        counters.  Counters only grow: diff two snapshots to measure an
+        interval.
         """
+        providers = self.providers.values()
         caches = [r.cache.stats() for r in self._rows]
         cache_stats = {
             key: sum(c[key] for c in caches)
@@ -294,13 +281,13 @@ class QueryEngine:
             round(cache_stats["hits"] / total, 4) if total else 0.0
         )
         return {
-            "backend": self.provider.name,
+            "backend": self._provider(None).name if self.planner is None else "planned",
             "n": self.n,
             "m": self.graph.m,
             "shards": self.shards,
-            "queries_served": self.provider.queries_served,
-            "batches": self.provider.batches,
-            "wall_s": round(self.provider.wall_s, 6),
+            "queries_served": sum(p.queries_served for p in providers),
+            "batches": sum(p.batches for p in providers),
+            "wall_s": round(sum(p.wall_s for p in providers), 6),
             "rows_solved": sum(r.rows_solved for r in self._rows),
             "solve_wall_s": round(sum(r.solve_wall_s for r in self._rows), 6),
             "cache": cache_stats,

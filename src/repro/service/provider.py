@@ -20,8 +20,9 @@ every loaded artifact kind (a bare graph, an oracle, a sketch, or a
 :class:`ProviderBundle` holding all three paths) into providers, so the
 serving engine has one code path whatever it loaded.  The row paths are
 :class:`RowProvider` over the repo's one cached-row implementation,
-:class:`~repro.core.cache.CachedRows`.  :class:`PlannedProvider` routes each
-batch of a bundle from a declarative :class:`PlanTarget`:
+:class:`~repro.core.cache.CachedRows`.  :class:`PlannedProvider` is not a
+provider: it picks, for each batch of a bundle, the provider that answers
+it, from a declarative :class:`PlanTarget`:
 
 * ``backend="exact" | "oracle" | "sketch" | "tiered"`` — fixed routing;
 * ``backend="auto"`` — pick the cheapest backend (by observed per-query
@@ -107,8 +108,8 @@ class _TimedProvider:
     observed per-query latency EWMA + ring the planner routes on.
 
     :meth:`query` / :meth:`query_many` time the subclass's ``_query`` /
-    ``_query_many`` (the latter gets a non-empty ``(r, 2)`` int64 array);
-    keyword arguments pass through (the planner's ``backend``).
+    ``_query_many`` (the latter gets a non-empty ``(r, 2)`` int64 array;
+    ``_query`` defaults to a batch of one through it).
     """
 
     name = "?"
@@ -132,21 +133,24 @@ class _TimedProvider:
         )
         self._lat_ring.append(per_query)
 
-    def query(self, u: int, v: int, **route) -> float:
+    def query(self, u: int, v: int) -> float:
         start = time.perf_counter()
-        out = self._query(u, v, **route)
+        out = self._query(u, v)
         self._record(1, time.perf_counter() - start)
         return out
 
-    def query_many(self, pairs, **route) -> np.ndarray:
+    def query_many(self, pairs) -> np.ndarray:
         pairs = np.asarray(pairs, dtype=np.int64)
         if pairs.size == 0:
             return np.zeros(0)
         pairs = pairs.reshape(-1, 2)
         start = time.perf_counter()
-        out = self._query_many(pairs, **route)
+        out = self._query_many(pairs)
         self._record(int(pairs.shape[0]), time.perf_counter() - start)
         return out
+
+    def _query(self, u: int, v: int) -> float:
+        return float(self._query_many(np.array([[u, v]], dtype=np.int64))[0])
 
     def observed_p99_s(self) -> float | None:
         """p99 of recent per-query latencies (per-call means), or ``None``
@@ -316,16 +320,6 @@ class TieredProvider(_TimedProvider):
             "row_cost": "none (hot rows only)",
         }
 
-    def _query(self, u: int, v: int) -> float:
-        out = self.sketch_provider.sketch.query(u, v)
-        row = self.refiner.peek_row(u)
-        if row is not None:
-            refined = float(row[v])
-            if refined < out:
-                out = refined
-                self.refined += 1
-        return out
-
     def _query_many(self, pairs: np.ndarray) -> np.ndarray:
         out = self.sketch_provider.sketch.query_many(pairs)
         for s in np.unique(pairs[:, 0]).tolist():
@@ -376,19 +370,19 @@ class PlanTarget:
         return " ".join(parts)
 
 
-class PlannedProvider(_TimedProvider):
+class PlannedProvider:
     """Route each batch to one of several providers from a :class:`PlanTarget`.
 
-    Routing state is the per-backend latency accounting the providers
-    themselves keep (EWMA + p99 ring of per-query wall time); unsampled
-    backends are probed cheapest-first so the EWMAs converge without a
-    separate warmup phase.
+    A routing policy, not a :class:`DistanceProvider`: :meth:`route`
+    returns the provider a call goes to and the caller calls it, so each
+    batch is checked, timed and counted once, by the provider that
+    answers it.  Routing state is the per-backend latency accounting the
+    providers themselves keep (EWMA + p99 ring of per-query wall time);
+    unsampled backends are probed cheapest-first so the EWMAs converge
+    without a separate warmup phase.
     """
 
-    name = "planned"
-
     def __init__(self, providers: dict, target: PlanTarget | None = None) -> None:
-        super().__init__()
         if not providers:
             raise ValueError("PlannedProvider needs at least one provider")
         self.providers = dict(providers)
@@ -398,7 +392,6 @@ class PlannedProvider(_TimedProvider):
                 f"unknown backend {self.target.backend!r} "
                 f"(have: {', '.join(sorted(self.providers))})"
             )
-        self.n = next(iter(self.providers.values())).n
 
     @property
     def stretch_bound(self) -> float:
@@ -453,26 +446,18 @@ class PlannedProvider(_TimedProvider):
     def route(self, backend: str | None = None):
         """The provider a call goes to: ``backend`` when pinned, else the
         target's pick (:meth:`choose`).  Reads routing state only."""
-        name = backend or self.choose()
+        name = self.choose() if backend is None else backend
         if name not in self.providers:
             raise ValueError(
                 f"unknown backend {name!r} (have: {', '.join(sorted(self.providers))})"
             )
         return self.providers[name]
 
-    def _query(self, u: int, v: int, *, backend: str | None = None) -> float:
-        return self.route(backend).query(u, v)
-
-    def _query_many(
-        self, pairs: np.ndarray, *, backend: str | None = None
-    ) -> np.ndarray:
-        return self.route(backend).query_many(pairs)
-
     def stats(self) -> dict:
-        """``routed`` is each backend's own ``queries_served``: only the
-        planner calls its backends, so that is what it routed there."""
+        """``routed`` is each backend's own ``queries_served``: every call
+        reaches its backend through :meth:`route`, so that is what the
+        planner routed there."""
         return {
-            **super().stats(),
             "target": self.target.describe(),
             "routed": {n: p.queries_served for n, p in self.providers.items()},
             "backends": {n: p.stats() for n, p in self.providers.items()},

@@ -33,8 +33,10 @@ Around the batcher:
   ``stats`` protocol verb (and :meth:`QueryServer.stats`) reports
   p50/p95/p99/mean/max milliseconds over those samples (its ``count`` is
   how many are kept, not the number served), qps, and the batch-size
-  histogram, alongside :meth:`QueryEngine.stats` as the single source of
-  truth for rows/batch accounting.
+  histogram (``batches_flushed`` and ``batch_size_hist`` count each
+  flushed batch once, whatever its backend groups), alongside
+  :meth:`QueryEngine.stats` as the single source of truth for
+  rows/batch accounting.
 * **Contained solve failures** — a ``query_many`` that raises fails
   only its own backend group: each of its requests gets
   ``{"error": "internal: <ExceptionType>"}``, ``solve_errors`` counts
@@ -506,6 +508,8 @@ class QueryServer:
         while self._pending:
             take = min(self.max_batch, len(self._pending))
             batch = [self._pending.popleft() for _ in range(take)]
+            self.batches_flushed += 1
+            self.batch_size_hist[take] = self.batch_size_hist.get(take, 0) + 1
             groups: dict[str | None, list[_Request]] = {}
             for req in batch:
                 groups.setdefault(req.backend, []).append(req)
@@ -572,8 +576,6 @@ class QueryServer:
 
     def _deliver(self, batch: list[_Request], answers) -> None:
         now = time.perf_counter()
-        self.batches_flushed += 1
-        self.batch_size_hist[len(batch)] = self.batch_size_hist.get(len(batch), 0) + 1
         replies = []
         for req, d in zip(batch, np.asarray(answers, dtype=np.float64).tolist()):
             replies.append((req.writer, _encode_answer(req.rid, d)))

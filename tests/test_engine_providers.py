@@ -4,8 +4,9 @@ Pins the invariants of the single cached-row layout: every loaded kind
 (``graph``, ``oracle``, ``sketch``, ``bundle`` with each fixed backend)
 answers through :meth:`QueryEngine.query` and :meth:`QueryEngine.query_many`
 bit-identically to the loaded object's own answers, serial and sharded;
-and the engine's row accounting is the sum over its row providers in
-every mode.
+the engine's counters are sums over its providers in every mode; and a
+rejected request (bad vertex, unknown or unservable backend) raises
+without moving any counter.
 """
 
 from __future__ import annotations
@@ -97,11 +98,116 @@ def test_every_kind_serves_its_own_answers(store, pairs, kind, shards):
     assert np.array_equal(single, expected)
 
 
-def _row_providers(engine: QueryEngine) -> list:
-    providers = (
-        engine.planner.providers.values() if engine.planner else [engine.provider]
+@pytest.mark.parametrize("shards", [0, 2])
+def test_tiered_single_equals_batch(store, pairs, shards):
+    """Tiered ``query`` and ``query_many`` agree bit for bit, refinement
+    from hot oracle rows included, and refine the same pairs."""
+    store, keys = store
+    loaded = store.load(keys["bundle"])
+    with QueryEngine.from_store(store, keys["bundle"], shards=shards) as engine:
+        engine.query_many(pairs[:60], backend="oracle")  # hot rows to refine from
+        tiered = engine.planner.providers["tiered"]
+        many = engine.query_many(pairs, backend="tiered")
+        refined = tiered.refined
+        single = [engine.query(int(u), int(v), backend="tiered") for u, v in pairs]
+        assert refined > 0 and tiered.refined == 2 * refined
+    assert np.array_equal(many, single)
+    assert np.all(many <= loaded.sketch.query_many(pairs))
+
+
+@pytest.mark.parametrize("shards", [0, 2])
+def test_auto_answers_as_the_backend_it_routed_to(store, pairs, shards):
+    """Unpinned, each call may go elsewhere (the planner probes every
+    backend first): each batch and each single query answers bit for bit
+    what the backend it was routed to answers offline."""
+    store, keys = store
+    loaded = store.load(keys["bundle"])
+    with QueryEngine.from_store(store, keys["bundle"], shards=shards) as engine:
+        for batch in [pairs] + [pairs[i : i + 1] for i in range(12)] + [pairs]:
+            before = engine.stats()["planner"]["routed"]
+            if len(batch) == 1:
+                got = [engine.query(int(batch[0, 0]), int(batch[0, 1]))]
+            else:
+                got = engine.query_many(batch)
+            after = engine.stats()["planner"]["routed"]
+            (backend,) = [b for b in after if after[b] != before[b]]
+            assert after[backend] - before[backend] == len(batch)
+            assert np.array_equal(got, _own_answers(loaded, backend, batch)), backend
+
+
+REJECT_KINDS = ["graph", "oracle", "sketch", "bundle"] + [
+    f"bundle-{b}" for b in (*BACKENDS, "tiered")
+]
+
+
+def _counters(engine: QueryEngine) -> tuple:
+    stats = engine.stats()
+    return (
+        stats["queries_served"],
+        stats["batches"],
+        stats["rows_solved"],
+        stats["cache"],
+        stats.get("planner", {}).get("routed"),
     )
-    return [p for p in providers if hasattr(p, "rows")]
+
+
+@pytest.mark.parametrize("kind", REJECT_KINDS)
+def test_bad_requests_raise_and_count_nothing(g, oracle, sketch, bundle, kind):
+    """Every engine kind rejects out-of-range vertices (either position,
+    alone or inside an otherwise good batch), unknown backends and pins
+    it cannot serve, and no rejected call moves a counter."""
+    artifact, _, backend = kind.partition("-")
+    backend_obj = {"graph": g, "oracle": oracle, "sketch": sketch, "bundle": bundle}
+    engine = QueryEngine(backend_obj[artifact], cache_rows=16)
+    route = {"backend": backend} if backend else {}
+    engine.query_many(np.array([[0, 1], [2, 3]]), **route)
+    engine.query(4, 5, **route)
+    before = _counters(engine)
+    n = g.n
+    for u, v in [(-1, 0), (0, -1), (n, 0), (0, n)]:
+        with pytest.raises(ValueError, match="out of range"):
+            engine.query(u, v, **route)
+        batch = np.array([[0, 1], [2, 3], [u, v], [4, 5]])
+        with pytest.raises(ValueError, match="out of range"):
+            engine.query_many(batch, **route)
+    if artifact == "bundle":
+        pins = {"bogus": "unknown backend"}
+    else:
+        pins = {"bogus": "single fixed backend", "exact": "single fixed backend"}
+    for pin, match in pins.items():
+        with pytest.raises(ValueError, match=match):
+            engine.query(0, 1, backend=pin)
+        with pytest.raises(ValueError, match=match):
+            engine.query_many(np.array([[0, 1]]), backend=pin)
+    assert _counters(engine) == before
+    engine.close()
+
+
+def test_engine_counters_are_sums_over_its_providers(bundle, pairs):
+    """Pinned exact/oracle/sketch/tiered and unpinned traffic on one
+    bundle engine: each call is counted once, by the provider that
+    answered it, and the engine's counters are the sums over them."""
+    engine = QueryEngine(bundle, cache_rows=16)
+    pins = ["exact", "oracle", "sketch", "tiered", None] * 3
+    for i, pin in enumerate(pins):
+        route = {} if pin is None else {"backend": pin}
+        chunk = pairs[10 * i : 10 * i + 10]
+        engine.query_many(chunk, **route)
+        engine.query(int(chunk[0, 0]), int(chunk[0, 1]), **route)
+    stats = engine.stats()
+    planner = stats["planner"]
+    assert set(planner) == {"target", "routed", "backends"}
+    backends = planner["backends"].values()
+    assert stats["queries_served"] == len(pins) * 11
+    assert stats["queries_served"] == sum(b["queries_served"] for b in backends)
+    assert stats["queries_served"] == sum(planner["routed"].values())
+    assert stats["batches"] == len(pins) * 2 == sum(b["batches"] for b in backends)
+    assert stats["wall_s"] == pytest.approx(sum(b["wall_s"] for b in backends), abs=1e-5)
+    engine.close()
+
+
+def _row_providers(engine: QueryEngine) -> list:
+    return [p for p in engine.providers.values() if hasattr(p, "rows")]
 
 
 def _provider_rows(engine: QueryEngine) -> int:

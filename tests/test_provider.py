@@ -69,7 +69,6 @@ class TestProtocol:
     def test_adapters_satisfy_the_protocol(self, providers):
         for p in providers.values():
             assert isinstance(p, DistanceProvider)
-        assert isinstance(PlannedProvider(providers), DistanceProvider)
 
     def test_names_and_stretch_bounds(self, bundle, providers):
         assert set(providers) == {"exact", "oracle", "sketch", "tiered"}
@@ -225,20 +224,20 @@ class TestPlannedRouting:
     def test_fixed_backend_always_routes_there(self, providers):
         planner = PlannedProvider(providers, PlanTarget(backend="tiered"))
         pairs = np.array([[0, 1], [2, 3]])
-        planner.query_many(pairs)
-        planner.query(4, 5)
+        planner.route().query_many(pairs)
+        planner.route().query(4, 5)
         routed = planner.stats()["routed"]
         assert routed["tiered"] == 3
         assert sum(routed.values()) == 3
 
     def test_explicit_override_beats_the_target(self, providers):
         planner = PlannedProvider(providers, PlanTarget(backend="sketch"))
-        planner.query_many(np.array([[0, 1]]), backend="exact")
-        planner.query(0, 1, backend="exact")
+        planner.route("exact").query_many(np.array([[0, 1]]))
+        planner.route("exact").query(0, 1)
         routed = planner.stats()["routed"]
         assert routed["exact"] == 2 and routed["sketch"] == 0
         with pytest.raises(ValueError, match="unknown backend"):
-            planner.query_many(np.array([[0, 1]]), backend="bogus")
+            planner.route("bogus").query_many(np.array([[0, 1]]))
 
     def test_stretch_cap_narrows_eligibility(self, providers):
         planner = PlannedProvider(providers, PlanTarget(max_stretch=1.0))
@@ -264,7 +263,7 @@ class TestPlannedRouting:
         # Unsampled backends are probed cheapest-declared-first.
         assert seen == ["sketch"]
         for _ in range(3):  # one probe batch each
-            planner.query_many(pairs)
+            planner.route().query_many(pairs)
         routed = planner.stats()["routed"]
         assert {n for n, c in routed.items() if c} == set(BACKENDS)
         # All sampled: route to the fastest observed EWMA.
@@ -295,7 +294,7 @@ class TestPlannedRouting:
 
     def test_planner_stats_report_per_backend(self, providers):
         planner = PlannedProvider(providers, PlanTarget(backend="oracle"))
-        planner.query_many(np.array([[0, 1]]))
+        planner.route().query_many(np.array([[0, 1]]))
         s = planner.stats()
         assert s["routed"]["oracle"] == 1
         assert set(s["backends"]) == set(providers)

@@ -862,7 +862,7 @@ class TestBackendRouting:
 
         stats = asyncio.run(run())
         assert solves == [("sketch", 4, 0), ("exact", 4, 0)]
-        assert stats["batch_size_hist"] == [[4, 2]]
+        assert stats["batch_size_hist"] == [[8, 1]]
         assert stats["engine"]["planner"]["routed"] == {
             "exact": 4, "oracle": 0, "sketch": 4, "tiered": 0
         }
@@ -915,7 +915,7 @@ class TestBackendRouting:
         requests += [(100 + i, (i * 3) % g.n, "tiered") for i in range(4)]
         replies, stats = self._flush_one_batch(engine, requests)
         assert stats["solver_handoffs"] == 0
-        assert stats["batch_size_hist"] == [[4, 1], [9, 2]]
+        assert stats["batch_size_hist"] == [[22, 1]]
         assert stats["engine"]["rows_solved"] == len(self.HOT)
         self._assert_offline_answers(bundle, requests, replies, ("oracle", "sketch", "tiered"))
 
@@ -928,7 +928,7 @@ class TestBackendRouting:
         requests += [((i * 7) % g.n, (i * 5) % g.n, "sketch") for i in range(6)]
         replies, stats = self._flush_one_batch(engine, requests)
         assert stats["solver_handoffs"] == 1
-        assert stats["batches_flushed"] == 2
+        assert stats["batches_flushed"] == 1
         assert stats["engine"]["rows_solved"] == len(self.HOT) + 1
         self._assert_offline_answers(bundle, requests, replies, ("oracle", "sketch"))
 
@@ -1027,7 +1027,7 @@ class TestSolveFailure:
         assert d == oracle.query(0, 5)
         assert stats["solve_errors"] == 1
         assert stats["served"] == 1
-        assert stats["batches_flushed"] == 1
+        assert stats["batches_flushed"] == 2
 
     def test_other_backend_groups_in_the_window_are_answered(self, g):
         from repro.distances.sketches import DistanceSketch
