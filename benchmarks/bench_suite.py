@@ -6,15 +6,6 @@ wall time, edges/second throughput, and spanner size land in one
 JSON-ready record (committed as ``BENCH_suite.json`` at the repo root, see
 EXPERIMENTS.md for the protocol).
 
-The module is one of the snapshot suites behind
-``scripts/bench_snapshot.py`` and exports the same four names as the
-others: :func:`run`, :func:`format_table`, :func:`gates` and
-:func:`headline`; ``python scripts/bench_snapshot.py --suite suite`` runs
-it.  Against the committed ``BENCH_suite.json`` (a smoke run against that
-record's ``smoke_ref``), :func:`gates` adds the per-algorithm >2x slowdown
-gate, with explicit timer-noise skips so CI on slow shared runners never
-flags phantom regressions.
-
 The record also carries a **hot-loop before/after harness**: the
 vectorized streaming pass processing and unweighted ball collection are
 timed against the frozen pre-vectorization references
@@ -22,7 +13,8 @@ timed against the frozen pre-vectorization references
 :func:`~repro.core.unweighted.unweighted_spanner_reference`) on the same
 inputs, asserting bit-identical outputs — the measured speedups are the
 numbers the acceptance gates (≥5x pass processing, ≥3x ball collection at
-n=2048) defend.
+n=2048) defend.  Run it with
+``python scripts/bench_snapshot.py --suite suite [--smoke]``.
 """
 
 from __future__ import annotations
@@ -32,18 +24,20 @@ import time
 
 import numpy as np
 
-__all__ = [
-    "run",
-    "format_table",
-    "gates",
-    "headline",
-    "slowdown_gate",
-    "hot_loop_gates",
-    "SLOWDOWN_GATE",
-    "NOISE_FLOOR_S",
-    "STREAMING_PASS_GATE",
-    "UNWEIGHTED_BALLS_GATE",
-]
+from repro.core.unweighted import (
+    _capped_bfs,
+    unweighted_spanner,
+    unweighted_spanner_reference,
+)
+from repro.graphs.distances import batched_capped_bfs
+from repro.graphs.generators import erdos_renyi
+from repro.graphs.specs import GraphSpec
+from repro.registry import iter_algorithms
+from repro.streaming import EdgeStream, streaming_spanner, streaming_spanner_reference
+from repro.streaming.spanner_stream import (
+    _pass_group_minima,
+    _pass_group_minima_reference,
+)
 
 #: A tracked algorithm may not get more than this factor slower than the
 #: committed snapshot.
@@ -99,9 +93,6 @@ def _best_of(fn, trials: int) -> tuple[float, object]:
 
 def _sweep_algorithms(cfg: dict) -> dict:
     """Run every registered algorithm once per protocol cell."""
-    from .graphs.specs import GraphSpec
-    from .registry import iter_algorithms
-
     out: dict[str, dict] = {}
     graphs: dict[tuple[str, str], object] = {}
     for spec in iter_algorithms():
@@ -143,19 +134,6 @@ def _sweep_algorithms(cfg: dict) -> dict:
 def _hot_loop_harness(cfg: dict) -> dict:
     """Before/after timings of the vectorized hot loops vs the frozen
     references, with bit-identical-output checks on the same seeds."""
-    from .core.unweighted import (
-        _capped_bfs,
-        unweighted_spanner,
-        unweighted_spanner_reference,
-    )
-    from .graphs.distances import batched_capped_bfs
-    from .graphs.generators import erdos_renyi
-    from .streaming import EdgeStream, streaming_spanner, streaming_spanner_reference
-    from .streaming.spanner_stream import (
-        _pass_group_minima,
-        _pass_group_minima_reference,
-    )
-
     n, p, seed = cfg["hot_n"], cfg["hot_p"], cfg["seed"]
     k = cfg["k"]
     out: dict[str, dict] = {}

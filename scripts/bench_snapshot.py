@@ -41,7 +41,7 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
 SUITES = {
     "distance": ("bench_distance_layer", "BENCH_distance_layer.json"),
     "runner": ("bench_runner", "BENCH_runner.json"),
-    "suite": ("repro.bench", "BENCH_suite.json"),
+    "suite": ("bench_suite", "BENCH_suite.json"),
     "service": ("bench_service", "BENCH_service.json"),
     "scale": ("bench_scale", "BENCH_scale.json"),
     "server": ("bench_server", "BENCH_server.json"),
@@ -72,7 +72,8 @@ def _fmt(value) -> str:
 
 
 def _lint_gate() -> int:
-    """Refuse to snapshot from a tree that fails ``repro lint``.
+    """Refuse to snapshot from a tree that fails ``repro lint`` on the
+    paths CI lints (``src`` and ``benchmarks/bench_suite.py``).
 
     A committed BENCH_*.json is a perf claim about the tree it was built
     from; building one on top of an invariant violation (e.g. a memmap
@@ -81,7 +82,12 @@ def _lint_gate() -> int:
     """
     from repro.analysis import lint_paths
 
-    findings = lint_paths([os.path.join(REPO_ROOT, "src")])
+    findings = lint_paths(
+        [
+            os.path.join(REPO_ROOT, "src"),
+            os.path.join(REPO_ROOT, "benchmarks", "bench_suite.py"),
+        ]
+    )
     for finding in findings:
         print(finding.format(), file=sys.stderr)
     if findings:

@@ -13,9 +13,13 @@ idle server adds no wait, and a loaded one coalesces whatever queued
 during the previous solve (the adaptive batching discipline).
 
 Where a batch runs: only a batch that may solve a Dijkstra row goes to
-the dedicated solver thread, so the event loop keeps admitting,
-rejecting and answering ``stats`` while the row solve (sharded or not)
-runs.  A batch that cannot block — every oracle/exact source already
+the dedicated solver thread.  The event loop keeps admitting, rejecting
+and answering ``stats`` only while that thread waits on a pool-sharded
+solve of >= 2 rows.  An in-process solve (an unsharded engine, or a
+one-row miss, which :meth:`QueryEngine._solve_rows` solves in-process
+even when sharded) freezes the loop until it returns, because scipy's
+``csgraph.dijkstra`` holds the GIL for the whole call (ROADMAP.md, open
+item 8).  A batch that cannot block — every oracle/exact source already
 cached, or only sketch and tiered walks — is answered on the event loop
 itself, which saves the loop -> thread -> loop round trip.  The engine
 says which is which through ``needs_solve(sources, backend=...)``; an

@@ -9,14 +9,7 @@ fails the suite long before anyone looks at timing numbers.
 
 from __future__ import annotations
 
-import os
-import sys
-
-BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
-if BENCH_DIR not in sys.path:
-    sys.path.insert(0, BENCH_DIR)
-
-from bench_distance_layer import format_table, identity_gate, run  # noqa: E402
+from bench_distance_layer import format_table, identity_gate, run
 
 
 def test_smoke_mode_runs_and_matches_seed():

@@ -15,18 +15,10 @@ instead of burying the condition inside the bench script.
 from __future__ import annotations
 
 import functools
-import os
-import sys
 
 import pytest
 
-BENCH_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks"
-)
-if BENCH_DIR not in sys.path:
-    sys.path.insert(0, BENCH_DIR)
-
-from bench_runner import (  # noqa: E402
+from bench_runner import (
     format_table,
     multi_core_available,
     reference_plan,

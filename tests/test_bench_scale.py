@@ -12,20 +12,10 @@ functions on synthetic records.
 
 from __future__ import annotations
 
-import os
-import sys
-
 import numpy as np
+import pytest
 
-BENCH_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks"
-)
-if BENCH_DIR not in sys.path:
-    sys.path.insert(0, BENCH_DIR)
-
-import pytest  # noqa: E402
-
-from bench_scale import (  # noqa: E402
+from bench_scale import (
     SCALE_GATE,
     THROUGHPUT_GATE,
     budget_gate,

@@ -14,16 +14,7 @@ the scale-mismatch skip of the baseline gate.
 
 from __future__ import annotations
 
-import os
-import sys
-
-BENCH_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks"
-)
-if BENCH_DIR not in sys.path:
-    sys.path.insert(0, BENCH_DIR)
-
-from bench_server import (  # noqa: E402
+from bench_server import (
     SPEEDUP_GATE,
     baseline_gate,
     drain_gate,

@@ -12,16 +12,7 @@ pure logic on synthetic records, including the explicit smoke skip.
 
 from __future__ import annotations
 
-import os
-import sys
-
-BENCH_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks"
-)
-if BENCH_DIR not in sys.path:
-    sys.path.insert(0, BENCH_DIR)
-
-from bench_service import (  # noqa: E402
+from bench_service import (
     THRASH_GATE,
     format_table,
     identity_gate,

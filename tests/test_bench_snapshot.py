@@ -54,6 +54,9 @@ def test_suite_exports_the_contract(name):
     module = _suite(name)
     for attr in ("run", "format_table", "gates", "headline"):
         assert callable(getattr(module, attr)), f"{name} lacks {attr}"
+    assert os.path.dirname(os.path.abspath(module.__file__)) == os.path.join(
+        REPO_ROOT, "benchmarks"
+    ), f"{name} lives outside benchmarks/"
 
 
 @pytest.mark.parametrize("name", SUITES)

@@ -1,6 +1,6 @@
 """The cross-algorithm benchmark suite: record shape and gates.
 
-Runs :func:`repro.bench.run` in smoke mode once (module fixture) and
+Runs :func:`bench_suite.run` in smoke mode once (module fixture) and
 checks that every registered algorithm is measured, that the hot-loop
 harness certifies bit-identical vectorized outputs, and that both gates —
 the per-algorithm slowdown gate and the hot-loop speedup floors — behave:
@@ -15,11 +15,7 @@ import json
 
 import pytest
 
-from repro.bench import (
-    hot_loop_gates,
-    run,
-    slowdown_gate,
-)
+from bench_suite import hot_loop_gates, run, slowdown_gate
 from repro.registry import algorithm_names
 
 

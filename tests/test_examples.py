@@ -67,9 +67,3 @@ def test_social_network_distances():
 def test_sketches_and_streaming():
     out = _run("sketches_and_streaming.py")
     assert "Thorup" in out and "Streaming" in out
-
-
-@pytest.mark.slow
-def test_sweep_runner():
-    out = _run("sweep_runner.py")
-    assert "18 trials" in out and "resumed" in out
